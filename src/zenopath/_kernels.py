@@ -1,37 +1,18 @@
-"""Hot inner loops, JIT-compiled with numba when available.
+"""Per-step loops and the formulas they step, in plain Python.
 
-Set the environment variable ``ZENOPATH_NO_NUMBA=1`` to force the pure-Python
-fallback (same source, no compilation).  ``benchmarks/bench_kernels.py``
-compares the two paths.
+Every loop runs on builtin floats: arithmetic on numpy scalars costs several
+times as much per operation and gives the same IEEE results
+(notes/decisions.md, section 5).  ``perfbench/`` times each kernel.
 """
 
-import os
 from math import cos, sin, sqrt
 
 import numpy as np
 
-_disable = os.environ.get("ZENOPATH_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-try:
-    if _disable:
-        raise ImportError("numba disabled via ZENOPATH_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+#: There is no compiled kernel path; run records report this constant.
+NUMBA_ENABLED = False
 
 
-@njit(cache=True)
 def zeno_walk(x, y, z, omega_s, j_coupling, dt, n_steps, trace_floor):
     """Iterate the post-selected measurement map on Bloch coordinates.
 
@@ -41,9 +22,7 @@ def zeno_walk(x, y, z, omega_s, j_coupling, dt, n_steps, trace_floor):
     underflowed (-1 if it never did; the path is zero-filled past that point).
     """
     out = np.empty((n_steps + 1, 3))
-    out[0, 0] = x
-    out[0, 1] = y
-    out[0, 2] = z
+    out[0] = x, y, z
     rot = 2.0 * omega_s * dt
     crot = cos(rot)
     srot = sin(rot)
@@ -56,10 +35,7 @@ def zeno_walk(x, y, z, omega_s, j_coupling, dt, n_steps, trace_floor):
         # measurement back-action: rho00 -> rho00, rho11 -> cj^2 rho11
         trace = 0.5 * ((1.0 + z1) + cj2 * (1.0 - z1))
         if trace <= trace_floor:
-            for m in range(k + 1, n_steps + 1):
-                out[m, 0] = 0.0
-                out[m, 1] = 0.0
-                out[m, 2] = 0.0
+            out[k + 1:] = 0.0
             return out, k
         x = cj * x / trace
         y = cj * y1 / trace
@@ -70,7 +46,6 @@ def zeno_walk(x, y, z, omega_s, j_coupling, dt, n_steps, trace_floor):
     return out, -1
 
 
-@njit(cache=True, inline="always")
 def nullcline_factor(u, lam, theta_ref, anchored):
     """The factor 1 + lam sin(theta) of the reduced flow, at theta = theta_ref + u.
 
@@ -85,7 +60,6 @@ def nullcline_factor(u, lam, theta_ref, anchored):
     return 1.0 + lam * sin(theta_ref + u)
 
 
-@njit(cache=True, inline="always")
 def _phase_rhs(u, p_theta, omega_s, lam, theta_ref, anchored):
     theta = theta_ref + u
     dtheta = -2.0 * omega_s * nullcline_factor(u, lam, theta_ref, anchored)
@@ -93,7 +67,6 @@ def _phase_rhs(u, p_theta, omega_s, lam, theta_ref, anchored):
     return dtheta, dp
 
 
-@njit(cache=True)
 def phase_hamiltonian(u, p_theta, omega_s, lam, theta_ref, anchored):
     """H = -2 Omega_s [p_theta (1 + lam sin theta) + lam (1 - cos theta)]."""
     return -2.0 * omega_s * (
@@ -102,7 +75,6 @@ def phase_hamiltonian(u, p_theta, omega_s, lam, theta_ref, anchored):
     )
 
 
-@njit(cache=True)
 def phase_rk4(u0, p0, omega_s, lam, theta_ref, anchored, dt, n_steps):
     """Fixed-step RK4 on the reduced (theta, p_theta) Hamiltonian flow.
 
@@ -133,15 +105,20 @@ def phase_rk4(u0, p0, omega_s, lam, theta_ref, anchored, dt, n_steps):
     return out, min_speed
 
 
-@njit(cache=True, inline="always")
-def _bloch_drift(x, y, z, omega_s, alpha):
-    dx = -0.5 * alpha * x * z
-    dy = -0.5 * alpha * y * z - 2.0 * omega_s * z
+def bloch_drift(x, y, z, omega_s, alpha, w):
+    """Conditioned Bloch drift: null-record decay at rate alpha, Rabi drive
+    2 omega_s, and a rotation about z at rate w.
+
+    The one definition of the drift, for scalars and arrays alike.  w is
+    r sqrt(alpha/tau) for a readout r, alpha (y p_x - x p_y) on the most-likely
+    path, and 0.0 for the post-selected drift and the sampler's RK4 substep.
+    """
+    dx = -0.5 * alpha * x * z + w * y
+    dy = -0.5 * alpha * y * z - w * x - 2.0 * omega_s * z
     dz = 0.5 * alpha * (1.0 - z * z) + 2.0 * omega_s * y
     return dx, dy, dz
 
 
-@njit(cache=True)
 def diffusive_walk(x, y, z, omega_s, alpha, dt, dw):
     """Conditioned Bloch-vector sampling: RK4 drift, then the readout's rotation.
 
@@ -152,30 +129,23 @@ def diffusive_walk(x, y, z, omega_s, alpha, dt, dw):
     """
     n_steps = dw.shape[0]
     out = np.empty((n_steps + 1, 3))
-    out[0, 0] = x
-    out[0, 1] = y
-    out[0, 2] = z
+    out[0] = x, y, z
     angle = sqrt(alpha) * dw
-    cos_a = np.cos(angle)
-    sin_a = np.sin(angle)
+    cos_a = np.cos(angle).tolist()
+    sin_a = np.sin(angle).tolist()
+    h = 0.5 * dt
     for k in range(n_steps):
-        k1x, k1y, k1z = _bloch_drift(x, y, z, omega_s, alpha)
-        k2x, k2y, k2z = _bloch_drift(
-            x + 0.5 * dt * k1x, y + 0.5 * dt * k1y, z + 0.5 * dt * k1z, omega_s, alpha
-        )
-        k3x, k3y, k3z = _bloch_drift(
-            x + 0.5 * dt * k2x, y + 0.5 * dt * k2y, z + 0.5 * dt * k2z, omega_s, alpha
-        )
-        k4x, k4y, k4z = _bloch_drift(
-            x + dt * k3x, y + dt * k3y, z + dt * k3z, omega_s, alpha
+        k1x, k1y, k1z = bloch_drift(x, y, z, omega_s, alpha, 0.0)
+        k2x, k2y, k2z = bloch_drift(x + h * k1x, y + h * k1y, z + h * k1z, omega_s, alpha, 0.0)
+        k3x, k3y, k3z = bloch_drift(x + h * k2x, y + h * k2y, z + h * k2z, omega_s, alpha, 0.0)
+        k4x, k4y, k4z = bloch_drift(
+            x + dt * k3x, y + dt * k3y, z + dt * k3z, omega_s, alpha, 0.0
         )
         xn = x + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
         yn = y + dt * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
         zn = z + dt * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
-        # builtin floats: without numba, numpy scalars would slow every
-        # operation below about twofold (same IEEE results either way)
-        c = float(cos_a[k])
-        s = float(sin_a[k])
+        c = cos_a[k]
+        s = sin_a[k]
         xr = c * xn + s * yn
         yr = c * yn - s * xn
         norm = sqrt(xr * xr + yr * yr + zn * zn)
@@ -188,60 +158,57 @@ def diffusive_walk(x, y, z, omega_s, alpha, dt, dw):
     return out
 
 
-@njit(cache=True, inline="always")
-def _mlp_rhs6(s, omega_s, alpha, ds):
-    x = s[0]
-    y = s[1]
-    z = s[2]
-    px = s[3]
-    py = s[4]
-    pz = s[5]
-    # r*sqrt(alpha/tau) with the readout constraint substituted; tau cancels
-    aw = alpha * (y * px - x * py)
-    ds[0] = -0.5 * alpha * x * z + aw * y
-    ds[1] = -0.5 * alpha * y * z - aw * x - 2.0 * omega_s * z
-    ds[2] = 0.5 * alpha * (1.0 - z * z) + 2.0 * omega_s * y
-    ds[3] = 0.5 * alpha * z * px + aw * py
-    ds[4] = -aw * px + 0.5 * alpha * z * py - 2.0 * omega_s * pz
-    ds[5] = (
+def mlp_rhs(x, y, z, px, py, pz, omega_s, alpha):
+    """The six extremal equations, with the readout constraint substituted:
+    r sqrt(alpha/tau) = alpha (y p_x - x p_y), so tau cancels."""
+    w = alpha * (y * px - x * py)
+    dx, dy, dz = bloch_drift(x, y, z, omega_s, alpha, w)
+    return (
+        dx,
+        dy,
+        dz,
+        0.5 * alpha * z * px + w * py,
+        -w * px + 0.5 * alpha * z * py - 2.0 * omega_s * pz,
         0.5 * alpha * x * px
         + 0.5 * alpha * y * py
         + 2.0 * omega_s * py
         + alpha * z * pz
-        - 0.5 * alpha
+        - 0.5 * alpha,
     )
 
 
-@njit(cache=True)
 def mlp_rk4(s0, omega_s, alpha, dt, n_steps):
     """Fixed-step RK4 on the six extremal equations of the most-likely path."""
     out = np.empty((n_steps + 1, 6))
-    s = s0.copy()
-    out[0] = s
-    k1 = np.empty(6)
-    k2 = np.empty(6)
-    k3 = np.empty(6)
-    k4 = np.empty(6)
-    tmp = np.empty(6)
+    out[0] = s0
+    x, y, z, px, py, pz = s0.tolist()
     min_speed = 1.0e308
+    h = 0.5 * dt
     for k in range(n_steps):
-        _mlp_rhs6(s, omega_s, alpha, k1)
-        sp = 0.0
-        for i in range(6):
-            sp += k1[i] * k1[i]
-        sp = sqrt(sp)
-        if sp < min_speed:
-            min_speed = sp
-        for i in range(6):
-            tmp[i] = s[i] + 0.5 * dt * k1[i]
-        _mlp_rhs6(tmp, omega_s, alpha, k2)
-        for i in range(6):
-            tmp[i] = s[i] + 0.5 * dt * k2[i]
-        _mlp_rhs6(tmp, omega_s, alpha, k3)
-        for i in range(6):
-            tmp[i] = s[i] + dt * k3[i]
-        _mlp_rhs6(tmp, omega_s, alpha, k4)
-        for i in range(6):
-            s[i] = s[i] + dt * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) / 6.0
-        out[k + 1] = s
+        a = mlp_rhs(x, y, z, px, py, pz, omega_s, alpha)
+        speed = sqrt(
+            a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
+            + a[3] * a[3] + a[4] * a[4] + a[5] * a[5]
+        )
+        if speed < min_speed:
+            min_speed = speed
+        b = mlp_rhs(
+            x + h * a[0], y + h * a[1], z + h * a[2],
+            px + h * a[3], py + h * a[4], pz + h * a[5], omega_s, alpha,
+        )
+        c = mlp_rhs(
+            x + h * b[0], y + h * b[1], z + h * b[2],
+            px + h * b[3], py + h * b[4], pz + h * b[5], omega_s, alpha,
+        )
+        d = mlp_rhs(
+            x + dt * c[0], y + dt * c[1], z + dt * c[2],
+            px + dt * c[3], py + dt * c[4], pz + dt * c[5], omega_s, alpha,
+        )
+        x = x + dt * (a[0] + 2.0 * b[0] + 2.0 * c[0] + d[0]) / 6.0
+        y = y + dt * (a[1] + 2.0 * b[1] + 2.0 * c[1] + d[1]) / 6.0
+        z = z + dt * (a[2] + 2.0 * b[2] + 2.0 * c[2] + d[2]) / 6.0
+        px = px + dt * (a[3] + 2.0 * b[3] + 2.0 * c[3] + d[3]) / 6.0
+        py = py + dt * (a[4] + 2.0 * b[4] + 2.0 * c[4] + d[4]) / 6.0
+        pz = pz + dt * (a[5] + 2.0 * b[5] + 2.0 * c[5] + d[5]) / 6.0
+        out[k + 1] = x, y, z, px, py, pz
     return out, min_speed

@@ -1,10 +1,12 @@
 """Command-line front end: parameter sweeps serialized to CSV/JSON.
 
-Every run writes one table (CSV by default, 17 significant digits) plus a
-JSON sidecar ``<output>.config.json`` holding the fully resolved
-configuration; re-running with ``--config <sidecar>`` reproduces the output
-byte for byte.  Exit codes: 0 success, 2 invalid configuration, 3 numerical
-failure (the message names the underlying error).
+Every run writes one table plus a JSON sidecar ``<output>.config.json``
+holding the fully resolved configuration; re-running with ``--config
+<sidecar>`` reproduces the output byte for byte.  CSV writes floats with 17
+significant digits (``.17g``), JSON with Python's shortest round-trip
+``repr``; both read back to the identical float.  Exit codes: 0 success, 2
+invalid configuration or an unwritable output path, 3 numerical failure (the
+message names the underlying error).
 """
 
 import argparse
@@ -18,9 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ZenoPathError
+from .errors import CurveSingularity, ZenoPathError
 from .measurement import BlochState
-from .phase import PhaseParams, critical_points, energy_level, p_theta_curve, PhasePoint
+from .phase import (
+    PhaseParams, PhasePoint, critical_points, energy_level, p_theta_curve,
+    separatrix_energies, stability_exponents,
+)
 from .action import (
     action_closed_form,
     action_quadrature,
@@ -36,8 +41,6 @@ from .diffusive import (
     integrate_mlp,
     sample_trajectory,
 )
-from .errors import CurveSingularity
-from .phase import separatrix_energies, stability_exponents
 
 _FLOAT_FMT = ".17g"
 
@@ -48,18 +51,29 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_table(path: Path, columns, rows, fmt: str):
+def _write_table(path: Path, columns, rows, fmt: str) -> int:
+    """Write the table; ``rows`` may be any iterable of rows.  Returns the
+    number of rows written."""
     if fmt == "csv":
+        n = 0
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
             for row in rows:
                 writer.writerow([_fmt(v) for v in row])
-    else:
-        payload = {"columns": list(columns), "rows": [list(r) for r in rows]}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+                n += 1
+        return n
+    payload = {"columns": list(columns), "rows": list(rows)}  # json.dump needs a list
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+    return len(payload["rows"])
+
+
+def _array_rows(*columns):
+    """Rows of builtin floats from 1-d and 2-d arrays placed side by side,
+    converted one row at a time as the writer asks for them."""
+    return map(np.ndarray.tolist, np.column_stack(columns))
 
 
 def _write_sidecar(path: Path, command: str, resolved: dict):
@@ -185,8 +199,7 @@ def _cmd_zeno_frequencies(args):
 
 def _cmd_density(args):
     z, dens = final_state_density(args.lam, args.theta_i, _grid(args.zf_grid, "--zf-grid"))
-    rows = [(float(a), float(b)) for a, b in zip(z, dens)]
-    return ["z_f", "probability_density"], rows
+    return ["z_f", "probability_density"], _array_rows(z, dens)
 
 
 def _cmd_trajectory(args):
@@ -194,14 +207,8 @@ def _cmd_trajectory(args):
     b0 = BlochState(args.x0, args.y0, args.z0)
     stream = WienerStream(seed=args.seed, dt=args.dt, gaussian=args.gaussian)
     traj = sample_trajectory(b0, params, args.dt, args.t_end, stream)
-    rows = []
-    for i in range(len(traj.t)):
-        r = traj.readout[i] if i < len(traj.readout) else math.nan
-        rows.append(
-            (float(traj.t[i]), float(traj.bloch[i, 0]), float(traj.bloch[i, 1]),
-             float(traj.bloch[i, 2]), float(r))
-        )
-    return ["time_ns", "x", "y", "z", "readout"], rows
+    readout = np.append(traj.readout, math.nan)  # no step starts at the last time
+    return ["time_ns", "x", "y", "z", "readout"], _array_rows(traj.t, traj.bloch, readout)
 
 
 def _cmd_mlp(args):
@@ -209,16 +216,10 @@ def _cmd_mlp(args):
     s0 = ExtendedState(args.x0, args.y0, args.z0, args.px0, args.py0, args.pz0)
     traj = integrate_mlp(s0, params, args.dt, args.t_end)
     h = traj.hamiltonian(params)
-    rows = []
-    for i in range(len(traj.t)):
-        rows.append(
-            (float(traj.t[i]), *[float(v) for v in traj.states[i]],
-             float(traj.readout[i]), float(h[i]))
-        )
     return [
         "time_ns", "x", "y", "z", "p_x", "p_y", "p_z", "readout",
         "stochastic_hamiltonian",
-    ], rows
+    ], _array_rows(traj.t, traj.states, traj.readout, h)
 
 
 def _cmd_ensemble(args):
@@ -227,14 +228,9 @@ def _cmd_ensemble(args):
     stats = ensemble_stats(
         b0, params, args.dt, args.t_end, args.n, args.seed, gaussian=args.gaussian
     )
-    rows = []
-    for i in range(len(stats.t)):
-        rows.append(
-            (float(stats.t[i]),
-             *[float(v) for v in stats.mean[i]],
-             *[float(v) for v in stats.var[i]])
-        )
-    return ["time_ns", "mean_x", "mean_y", "mean_z", "var_x", "var_y", "var_z"], rows
+    return [
+        "time_ns", "mean_x", "mean_y", "mean_z", "var_x", "var_y", "var_z", "n_eff",
+    ], _array_rows(stats.t, stats.mean, stats.var, stats.n_eff)
 
 
 def _add_output_args(p: argparse.ArgumentParser, default_name: str):
@@ -277,7 +273,9 @@ _COLUMN_DOCS = {
     "mlp": "readout: extremal record; stochastic_hamiltonian: conserved generator",
     "ensemble": "mean/var: per-time mean and population variance over n "
                 "trajectories seeded base_seed+k, each weighted by the probability "
-                "exp(-int alpha (1 - z)/2 dt) that its record held no click so far",
+                "exp(-int alpha (1 - z)/2 dt) that its record held no click so far; "
+                "n_eff: effective number of trajectories (sum w)^2 / sum w^2, so the "
+                "standard error of a mean is sqrt(var / n_eff)",
 }
 
 
@@ -289,15 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"zenopath {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser._zenopath_subcommands = {}
-    _orig_add_parser = sub.add_parser
-
-    def add_parser(name, **kwargs):
-        sp = _orig_add_parser(name, **kwargs)
-        parser._zenopath_subcommands[name] = sp
-        return sp
-
-    sub.add_parser = add_parser
 
     p = sub.add_parser("portrait", help="constant-energy curves p_theta(theta)",
                        epilog=_COLUMN_DOCS["portrait"])
@@ -405,8 +394,17 @@ def main(argv=None) -> int:
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             print(f"error[config]: {exc}", file=sys.stderr)
             return 2
-        known = {k: v for k, v in overrides.items() if hasattr(args, k)}
-        parser._zenopath_subcommands[args.command].set_defaults(**known)
+        unknown = sorted(
+            k for k in overrides
+            if not hasattr(args, k) or k in ("handler", "command", "config")
+        )
+        if unknown:
+            print(f"error[config]: {args.config}: unknown keys for {args.command}: "
+                  f"{', '.join(unknown)}", file=sys.stderr)
+            return 2
+        # file values become the subcommand's defaults, so explicit flags win
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        sub.choices[args.command].set_defaults(**overrides)
         args = parser.parse_args(argv)
 
     resolved = {
@@ -428,10 +426,14 @@ def main(argv=None) -> int:
         print(f"error[invalid-config]: {exc}", file=sys.stderr)
         return 2
 
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_table(out_path, columns, rows, args.format)
-    _write_sidecar(out_path, args.command, resolved)
-    print(f"wrote {out_path} ({len(rows)} rows)")
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        n_rows = _write_table(out_path, columns, rows, args.format)
+        _write_sidecar(out_path, args.command, resolved)
+    except OSError as exc:
+        print(f"error[output]: {exc}", file=sys.stderr)
+        return 2
+    print(f"wrote {out_path} ({n_rows} rows)")
     return 0
 
 

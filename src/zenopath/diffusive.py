@@ -111,12 +111,8 @@ def readout_constraint(s: ExtendedState, params: DiffusiveParams) -> float:
 
 def sme_rhs(b: BlochState, r: float, params: DiffusiveParams):
     """Conditioned Bloch drift for a given readout value r."""
-    alpha = params.alpha
-    w = r * math.sqrt(alpha / params.tau)
-    dx = -0.5 * alpha * b.x * b.z + w * b.y
-    dy = -0.5 * alpha * b.y * b.z - w * b.x - 2.0 * params.omega_s * b.z
-    dz = 0.5 * alpha * (1.0 - b.z * b.z) + 2.0 * params.omega_s * b.y
-    return dx, dy, dz
+    w = r * math.sqrt(params.alpha / params.tau)
+    return _kernels.bloch_drift(b.x, b.y, b.z, params.omega_s, params.alpha, w)
 
 
 @dataclass(frozen=True)
@@ -168,9 +164,7 @@ def sample_trajectory(
 
 def mlp_rhs(s: ExtendedState, params: DiffusiveParams):
     """Six extremal derivatives with the readout constraint substituted."""
-    ds = np.empty(6)
-    _kernels._mlp_rhs6(s.as_array(), params.omega_s, params.alpha, ds)
-    return tuple(ds)
+    return _kernels.mlp_rhs(s.x, s.y, s.z, s.p_x, s.p_y, s.p_z, params.omega_s, params.alpha)
 
 
 def stochastic_hamiltonian(s: ExtendedState, params: DiffusiveParams) -> float:
@@ -180,18 +174,14 @@ def stochastic_hamiltonian(s: ExtendedState, params: DiffusiveParams) -> float:
     via r^2/(alpha tau) = (y p_x - x p_y)^2, which is exact and finite at
     alpha = 0.
     """
-    alpha = params.alpha
-    w0 = s.y * s.p_x - s.x * s.p_y
-    aw = alpha * w0
-    dx = -0.5 * alpha * s.x * s.z + aw * s.y
-    dy = -0.5 * alpha * s.y * s.z - aw * s.x - 2.0 * params.omega_s * s.z
-    dz = 0.5 * alpha * (1.0 - s.z * s.z) + 2.0 * params.omega_s * s.y
-    return (
-        s.p_x * dx
-        + s.p_y * dy
-        + s.p_z * dz
-        - 0.5 * alpha * (w0 * w0 + 1.0 - s.z)
-    )
+    return _hamiltonian(s.x, s.y, s.z, s.p_x, s.p_y, s.p_z, params.omega_s, params.alpha)
+
+
+def _hamiltonian(x, y, z, px, py, pz, omega_s, alpha):
+    """:func:`stochastic_hamiltonian` on coordinates, for scalars and arrays."""
+    w0 = y * px - x * py
+    dx, dy, dz = _kernels.bloch_drift(x, y, z, omega_s, alpha, alpha * w0)
+    return px * dx + py * dy + pz * dz - 0.5 * alpha * (w0 * w0 + 1.0 - z)
 
 
 @dataclass(frozen=True)
@@ -208,14 +198,7 @@ class MLPTrajectory:
         return ExtendedState(*map(float, row), r=float(self.readout[i]))
 
     def hamiltonian(self, params: DiffusiveParams) -> np.ndarray:
-        x, y, z, px, py, pz = self.states.T
-        alpha = params.alpha
-        w0 = y * px - x * py
-        aw = alpha * w0
-        dx = -0.5 * alpha * x * z + aw * y
-        dy = -0.5 * alpha * y * z - aw * x - 2.0 * params.omega_s * z
-        dz = 0.5 * alpha * (1.0 - z * z) + 2.0 * params.omega_s * y
-        return px * dx + py * dy + pz * dz - 0.5 * alpha * (w0 * w0 + 1.0 - z)
+        return _hamiltonian(*self.states.T, params.omega_s, params.alpha)
 
 
 def integrate_mlp(

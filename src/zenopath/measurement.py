@@ -102,15 +102,11 @@ class MeasurementParams:
 
     ``alpha = j_coupling**2 * dt`` and ``lam = alpha / (4 * omega_s)`` are
     derived in ``__post_init__`` so the invariant holds by construction.
-    ``tau`` is the detector characteristic time; it plays no role in the
-    repeated-readout model and is carried only for interface parity with the
-    diffusive one.
     """
 
     omega_s: float
     j_coupling: float
     dt: float
-    tau: float = 1.0
     alpha: float = field(init=False)
     lam: float = field(init=False)
 
@@ -123,12 +119,12 @@ class MeasurementParams:
         self.lam = self.alpha / (4.0 * self.omega_s)
 
     @classmethod
-    def from_lambda(cls, omega_s: float, lam: float, dt: float, tau: float = 1.0):
+    def from_lambda(cls, omega_s: float, lam: float, dt: float):
         """Build parameters from the Zeno ratio lam; J = sqrt(4 omega_s lam / dt)."""
         if lam < 0.0:
             raise ValueError("lam must be nonnegative")
         j = math.sqrt(4.0 * omega_s * lam / dt)
-        return cls(omega_s=omega_s, j_coupling=j, dt=dt, tau=tau)
+        return cls(omega_s=omega_s, j_coupling=j, dt=dt)
 
 
 def kraus_pair(j_coupling: float, dt: float) -> KrausPair:
@@ -191,11 +187,9 @@ def density_from_bloch(b: BlochState) -> DensityMatrix:
 
 
 def drift_rhs(b: BlochState, omega_s: float, lam: float):
-    """Deterministic post-selected Bloch drift (the dt -> 0 limit of one step)."""
-    dx = -2.0 * omega_s * lam * b.x * b.z
-    dy = -2.0 * omega_s * b.z * (1.0 + lam * b.y)
-    dz = 2.0 * omega_s * (lam * (1.0 - b.z * b.z) + b.y)
-    return dx, dy, dz
+    """Deterministic post-selected Bloch drift (the dt -> 0 limit of one step):
+    :func:`_kernels.bloch_drift` at alpha = 4 omega_s lam without rotation."""
+    return _kernels.bloch_drift(b.x, b.y, b.z, omega_s, 4.0 * omega_s * lam, 0.0)
 
 
 def mc_zeno_trajectory(

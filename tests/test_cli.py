@@ -139,6 +139,8 @@ def test_mlp_and_ensemble_commands(tmp_path):
     ) == 0
     header, rows = _read_csv(out)
     assert float(rows[-1][header.index("var_z")]) == 0.0
+    # equal weights: n_eff is n, to the rounding of its log-domain sums
+    assert all(float(r[header.index("n_eff")]) == pytest.approx(3.0, rel=1e-12) for r in rows)
 
 
 def test_portrait_command(tmp_path):
@@ -150,3 +152,46 @@ def test_portrait_command(tmp_path):
     header, rows = _read_csv(out)
     assert header == ["energy", "theta_rad", "p_theta"]
     assert len(rows) == 3 * 61
+
+
+def test_ensemble_n_eff_below_n_when_weighted(tmp_path):
+    out = tmp_path / "e.csv"
+    assert main(
+        ["ensemble", "--lambda", "1.5", "--n", "3", "--t-end", "1.0", "-o", str(out)]
+    ) == 0
+    header, rows = _read_csv(out)
+    n_eff = [float(r[header.index("n_eff")]) for r in rows]
+    assert max(n_eff) <= 3.0 * (1.0 + 1e-12)
+    assert n_eff[-1] < 3.0 - 1e-4
+
+
+@pytest.mark.parametrize("key", ["lamda", "handler"])
+def test_unknown_config_key_is_rejected(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 0.9\nomega_s = 0.5\n")
+    out = tmp_path / "t.csv"
+    assert main(["transition-time", "--config", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]") and key in err
+    assert not out.exists()
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    rc = main(["transition-time", "-o", str(tmp_path)])  # an existing directory
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error[output]")
+
+
+def test_json_floats_read_back_identical(tmp_path):
+    from zenopath import DiffusiveParams, ExtendedState, integrate_mlp
+
+    out = tmp_path / "m.json"
+    assert main(
+        ["mlp", "--lambda", "1.5", "--dt", "1e-3", "--t-end", "0.5", "--format", "json",
+         "-o", str(out)]
+    ) == 0
+    rows = json.loads(out.read_text())["rows"]
+    params = DiffusiveParams.from_lambda(0.5, 1.5, tau=100.0)
+    traj = integrate_mlp(ExtendedState(0.0, 0.4, 0.916, 0.5, 0.3, 0.2), params, 1e-3, 0.5)
+    assert [r[1:7] for r in rows] == traj.states.tolist()
+    assert [r[7] for r in rows] == traj.readout.tolist()

@@ -16,6 +16,7 @@ from zenopath import (
     WeakCouplingWarning,
     WienerStream,
     critical_points,
+    drift_rhs,
     ensemble_stats,
     integrate_mlp,
     mlp_fixed_point,
@@ -215,6 +216,23 @@ def test_mlp_hamiltonian_conserved():
     traj = integrate_mlp(GENERIC_IC, PARAMS_15, dt=1e-4, t_end=4.0)
     h = traj.hamiltonian(PARAMS_15)
     assert np.max(np.abs(h - h[0])) / max(1.0, abs(h[0])) < 1e-7
+
+
+def test_drift_rhs_is_sme_rhs_at_zero_readout():
+    # one drift definition: the post-selected drift at lam is the conditioned
+    # drift at alpha = 4 Omega_s lam with r = 0, to the last bit
+    b = BlochState(0.1, -0.3, 0.7)
+    for omega_s, lam in ((0.37, 1.3), (0.5, 0.5), (0.5, 1.5), (1.1, 0.0)):
+        params = DiffusiveParams.from_lambda(omega_s, lam, tau=100.0)
+        assert drift_rhs(b, omega_s, lam) == sme_rhs(b, 0.0, params)
+
+
+def test_stochastic_hamiltonian_matches_path_hamiltonian():
+    # the scalar and the per-sample Hamiltonian are one definition, bit for bit
+    traj = integrate_mlp(GENERIC_IC, PARAMS_15, dt=1e-3, t_end=2.0)
+    h = traj.hamiltonian(PARAMS_15)
+    for i in range(0, len(traj.t), 50):
+        assert stochastic_hamiltonian(traj.state(i), PARAMS_15) == h[i]
 
 
 def test_mlp_readout_matches_constraint():
