@@ -2,7 +2,9 @@
 
 Every loop runs on builtin floats: arithmetic on numpy scalars costs several
 times as much per operation and gives the same IEEE results
-(notes/decisions.md, section 5).  ``perfbench/`` times each kernel.
+(notes/decisions.md, section 5).  The one exception is
+:func:`diffusive_walk_batch`, which steps a whole ensemble as numpy vectors
+(section 6).  ``perfbench/`` times each kernel.
 """
 
 from math import cos, sin, sqrt
@@ -119,6 +121,21 @@ def bloch_drift(x, y, z, omega_s, alpha, w):
     return dx, dy, dz
 
 
+def _drift_and_rotate(x, y, z, c, s, omega_s, alpha, dt, h):
+    """One sampler step before renormalization: RK4 on the drift, then the
+    rotation about z with cosine c and sine s.  Scalars or arrays alike."""
+    k1x, k1y, k1z = bloch_drift(x, y, z, omega_s, alpha, 0.0)
+    k2x, k2y, k2z = bloch_drift(x + h * k1x, y + h * k1y, z + h * k1z, omega_s, alpha, 0.0)
+    k3x, k3y, k3z = bloch_drift(x + h * k2x, y + h * k2y, z + h * k2z, omega_s, alpha, 0.0)
+    k4x, k4y, k4z = bloch_drift(
+        x + dt * k3x, y + dt * k3y, z + dt * k3z, omega_s, alpha, 0.0
+    )
+    xn = x + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+    yn = y + dt * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+    zn = z + dt * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
+    return c * xn + s * yn, c * yn - s * xn, zn
+
+
 def diffusive_walk(x, y, z, omega_s, alpha, dt, dw):
     """Conditioned Bloch-vector sampling: RK4 drift, then the readout's rotation.
 
@@ -135,19 +152,7 @@ def diffusive_walk(x, y, z, omega_s, alpha, dt, dw):
     sin_a = np.sin(angle).tolist()
     h = 0.5 * dt
     for k in range(n_steps):
-        k1x, k1y, k1z = bloch_drift(x, y, z, omega_s, alpha, 0.0)
-        k2x, k2y, k2z = bloch_drift(x + h * k1x, y + h * k1y, z + h * k1z, omega_s, alpha, 0.0)
-        k3x, k3y, k3z = bloch_drift(x + h * k2x, y + h * k2y, z + h * k2z, omega_s, alpha, 0.0)
-        k4x, k4y, k4z = bloch_drift(
-            x + dt * k3x, y + dt * k3y, z + dt * k3z, omega_s, alpha, 0.0
-        )
-        xn = x + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
-        yn = y + dt * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
-        zn = z + dt * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
-        c = cos_a[k]
-        s = sin_a[k]
-        xr = c * xn + s * yn
-        yr = c * yn - s * xn
+        xr, yr, zn = _drift_and_rotate(x, y, z, cos_a[k], sin_a[k], omega_s, alpha, dt, h)
         norm = sqrt(xr * xr + yr * yr + zn * zn)
         x = xr / norm
         y = yr / norm
@@ -155,6 +160,35 @@ def diffusive_walk(x, y, z, omega_s, alpha, dt, dw):
         out[k + 1, 0] = x
         out[k + 1, 1] = y
         out[k + 1, 2] = z
+    return out
+
+
+def diffusive_walk_batch(x, y, z, omega_s, alpha, dt, dw):
+    """:func:`diffusive_walk` for n states at once, each a numpy vector.
+
+    x, y, z have shape (n,) and dw shape (n_steps, n), column j driving state
+    j.  The arithmetic is that of :func:`diffusive_walk`, element by element,
+    so every state's path is bit-identical to its scalar walk.  Returns the
+    paths as (n, n_steps + 1, 3), row 0 being the start.
+    """
+    n_steps, n = dw.shape
+    out = np.empty((n, n_steps + 1, 3))
+    out[:, 0, 0] = x
+    out[:, 0, 1] = y
+    out[:, 0, 2] = z
+    angle = sqrt(alpha) * dw
+    cos_a = np.cos(angle)
+    sin_a = np.sin(angle)
+    h = 0.5 * dt
+    for k in range(n_steps):
+        xr, yr, zn = _drift_and_rotate(x, y, z, cos_a[k], sin_a[k], omega_s, alpha, dt, h)
+        norm = np.sqrt(xr * xr + yr * yr + zn * zn)
+        x = xr / norm
+        y = yr / norm
+        z = zn / norm
+        out[:, k + 1, 0] = x
+        out[:, k + 1, 1] = y
+        out[:, k + 1, 2] = z
     return out
 
 

@@ -22,6 +22,7 @@ from .errors import (
     SingularEndpoint,
     UnsupportedLambda,
 )
+from .phase import critical_angles
 
 _QUAD_ABS_TOL = 1e-10
 _ENDPOINT_TOL = 1e-9
@@ -49,11 +50,6 @@ def _check_lambda(lam: float):
 
 def _integrand(theta: float, lam: float) -> float:
     return lam * (1.0 - math.cos(theta)) / (1.0 + lam * math.sin(theta))
-
-
-def _critical_angles(lam: float):
-    t1 = -math.asin(1.0 / lam)
-    return t1, -math.pi - t1
 
 
 def _branch(theta: float):
@@ -96,7 +92,7 @@ def _antiderivative(theta: float, lam: float) -> float:
 def _nullcline_in_interval(a: float, b: float, lam: float, margin: float = 0.0) -> bool:
     """True if a nullcline of 1 + lam sin(theta) lies within (a, b) +- margin."""
     lo, hi = (a, b) if a <= b else (b, a)
-    t1, t2 = _critical_angles(lam)
+    t1, t2 = critical_angles(lam)
     for base in (t1, t2):
         k_min = math.ceil((lo - margin - base) / math.tau)
         if base + math.tau * k_min < hi + margin:
@@ -105,7 +101,7 @@ def _nullcline_in_interval(a: float, b: float, lam: float, margin: float = 0.0) 
 
 
 def _endpoint_on_nullcline(theta: float, lam: float) -> bool:
-    t1, t2 = _critical_angles(lam)
+    t1, t2 = critical_angles(lam)
     for base in (t1, t2):
         d = math.remainder(theta - base, math.tau)
         if abs(d) < _ENDPOINT_TOL:
@@ -186,6 +182,21 @@ def _segment_time(a: float, b: float, lam: float, omega_s: float) -> float:
     return abs(value)
 
 
+def _zeno_angles(lam: float, epsilon: float, what: str):
+    """The critical angles, once lam > 1 and the inset epsilon fits between them."""
+    if lam <= 1.0:
+        raise UnsupportedLambda(f"{what} lam > 1, got {lam}")
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
+    t1, t2 = critical_angles(lam)
+    if epsilon >= 0.5 * (t1 - t2):
+        raise EpsilonTooLarge(
+            f"epsilon = {epsilon} does not fit between the critical angles "
+            f"(half-gap {0.5 * (t1 - t2):.6f})"
+        )
+    return t1, t2
+
+
 def zeno_frequencies(lam: float, omega_s: float, epsilon: float = 1e-3) -> TransitionTimes:
     """Per-segment transition frequencies in the Zeno regime (lam > 1).
 
@@ -193,16 +204,7 @@ def zeno_frequencies(lam: float, omega_s: float, epsilon: float = 1e-3) -> Trans
     theta2+eps -> theta1-eps (where the flow runs from theta2 toward theta1)
     and theta2-eps -> -pi; each omega_k is the inverse of the segment time.
     """
-    if lam <= 1.0:
-        raise UnsupportedLambda(f"zeno frequencies require lam > 1, got {lam}")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    t1, t2 = _critical_angles(lam)
-    if epsilon >= 0.5 * (t1 - t2):
-        raise EpsilonTooLarge(
-            f"epsilon = {epsilon} does not fit between the critical angles "
-            f"(half-gap {0.5 * (t1 - t2):.6f})"
-        )
+    t1, t2 = _zeno_angles(lam, epsilon, "zeno frequencies require")
     time1 = _segment_time(t1 + epsilon, 0.0, lam, omega_s)
     time12 = _segment_time(t2 + epsilon, t1 - epsilon, lam, omega_s)
     time2 = _segment_time(-math.pi, t2 - epsilon, lam, omega_s)
@@ -230,15 +232,7 @@ def action_discontinuity(lam: float, epsilon: float = 1e-3):
     the same-direction pair (b1, b2) has opposite signs, and every magnitude
     grows like log(1/eps).
     """
-    if lam <= 1.0:
-        raise UnsupportedLambda(f"action discontinuity requires lam > 1, got {lam}")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    t1, t2 = _critical_angles(lam)
-    if epsilon >= 0.5 * (t1 - t2):
-        raise EpsilonTooLarge(
-            f"epsilon = {epsilon} does not fit between the critical angles"
-        )
+    t1, t2 = _zeno_angles(lam, epsilon, "action discontinuity requires")
     a1 = action_closed_form(t1 + epsilon, t2 + math.tau - epsilon, lam)
     a2 = action_closed_form(t1 - epsilon, t2 + epsilon, lam)
     return a1, a2, -a2, a1

@@ -10,7 +10,6 @@ message names the underlying error).
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -42,38 +41,53 @@ from .diffusive import (
     sample_trajectory,
 )
 
-_FLOAT_FMT = ".17g"
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, _FLOAT_FMT)
-    return str(v)
+#: Rows formatted per write: the text of one block is all the writer holds.
+_BLOCK_ROWS = 1024
+_CSV_FLOAT = "%.17g"
 
 
 def _write_table(path: Path, columns, rows, fmt: str) -> int:
-    """Write the table; ``rows`` may be any iterable of rows.  Returns the
-    number of rows written."""
-    if fmt == "csv":
-        n = 0
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-                n += 1
-        return n
-    payload = {"columns": list(columns), "rows": list(rows)}  # json.dump needs a list
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-    return len(payload["rows"])
+    """Write the table and return its number of rows.
+
+    ``rows`` is a 2-d float array, or a short list of row tuples for the
+    tables with string cells.  Rows are formatted a block at a time: CSV with
+    ``.17g`` floats and ``csv.writer``'s row end ``\\r\\n``, JSON in the layout
+    of ``json.dump(indent=1)`` with ``repr`` floats.
+    """
+    cell = _CSV_FLOAT if fmt == "csv" and isinstance(rows, np.ndarray) else "%s"
+    with open(path, "w", newline="") as fh:
+        if fmt == "csv":
+            fh.write(",".join(columns) + "\r\n")
+            row, sep, lead = ",".join([cell] * len(columns)) + "\r\n", "", ""
+        else:
+            fh.write('{\n "columns": [\n' + ",\n".join("  " + json.dumps(c) for c in columns)
+                     + '\n ],\n "rows": [')
+            row = "  [\n" + ",\n".join(["   " + cell] * len(columns)) + "\n  ]"
+            sep, lead = ",\n", "\n"
+        for k, cells in _cell_blocks(rows, fmt):
+            fh.write(lead + sep.join([row] * k) % tuple(cells))
+            lead = sep
+        if fmt == "json":
+            fh.write("\n ]\n}\n" if len(rows) else "]\n}\n")
+    return len(rows)
 
 
-def _array_rows(*columns):
-    """Rows of builtin floats from 1-d and 2-d arrays placed side by side,
-    converted one row at a time as the writer asks for them."""
-    return map(np.ndarray.tolist, np.column_stack(columns))
+def _cell_blocks(rows, fmt: str):
+    """(row count, flat cell values) for each block of rows."""
+    if not isinstance(rows, np.ndarray):
+        if rows:  # string-cell tables: one block, every cell formatted here
+            yield len(rows), [
+                json.dumps(v) if fmt == "json" else v if isinstance(v, str) else _CSV_FLOAT % v
+                for r in rows for v in r
+            ]
+        return
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        cells = block.ravel().tolist()
+        if fmt == "json":
+            for i in np.flatnonzero(~np.isfinite(block.ravel())):
+                cells[i] = json.dumps(cells[i])  # NaN, Infinity, -Infinity
+        yield len(block), cells
 
 
 def _write_sidecar(path: Path, command: str, resolved: dict):
@@ -138,7 +152,7 @@ def _cmd_portrait(args):
             except CurveSingularity:
                 continue
             rows.append((float(e), float(th), p))
-    return ["energy", "theta_rad", "p_theta"], rows
+    return ["energy", "theta_rad", "p_theta"], np.array(rows, dtype=float).reshape(-1, 3)
 
 
 def _cmd_critical_points(args):
@@ -185,7 +199,7 @@ def _cmd_transition_time(args):
     for lam in lams:
         t = transition_time_sub_zeno(float(lam), args.omega_s)
         rows.append((float(lam), args.omega_s, t, 1.0 / t))
-    return ["lambda", "omega_s_ghz", "time_ns", "frequency_ghz"], rows
+    return ["lambda", "omega_s_ghz", "time_ns", "frequency_ghz"], np.array(rows, dtype=float)
 
 
 def _cmd_zeno_frequencies(args):
@@ -194,12 +208,14 @@ def _cmd_zeno_frequencies(args):
     for lam in lams:
         tt = zeno_frequencies(float(lam), args.omega_s, args.epsilon)
         rows.append((float(lam), args.epsilon, tt.omega1, tt.omega12, tt.omega2))
-    return ["lambda", "epsilon_rad", "omega1_ghz", "omega12_ghz", "omega2_ghz"], rows
+    return [
+        "lambda", "epsilon_rad", "omega1_ghz", "omega12_ghz", "omega2_ghz",
+    ], np.array(rows, dtype=float)
 
 
 def _cmd_density(args):
     z, dens = final_state_density(args.lam, args.theta_i, _grid(args.zf_grid, "--zf-grid"))
-    return ["z_f", "probability_density"], _array_rows(z, dens)
+    return ["z_f", "probability_density"], np.column_stack((z, dens))
 
 
 def _cmd_trajectory(args):
@@ -208,7 +224,7 @@ def _cmd_trajectory(args):
     stream = WienerStream(seed=args.seed, dt=args.dt, gaussian=args.gaussian)
     traj = sample_trajectory(b0, params, args.dt, args.t_end, stream)
     readout = np.append(traj.readout, math.nan)  # no step starts at the last time
-    return ["time_ns", "x", "y", "z", "readout"], _array_rows(traj.t, traj.bloch, readout)
+    return ["time_ns", "x", "y", "z", "readout"], np.column_stack((traj.t, traj.bloch, readout))
 
 
 def _cmd_mlp(args):
@@ -219,7 +235,7 @@ def _cmd_mlp(args):
     return [
         "time_ns", "x", "y", "z", "p_x", "p_y", "p_z", "readout",
         "stochastic_hamiltonian",
-    ], _array_rows(traj.t, traj.states, traj.readout, h)
+    ], np.column_stack((traj.t, traj.states, traj.readout, h))
 
 
 def _cmd_ensemble(args):
@@ -230,7 +246,7 @@ def _cmd_ensemble(args):
     )
     return [
         "time_ns", "mean_x", "mean_y", "mean_z", "var_x", "var_y", "var_z", "n_eff",
-    ], _array_rows(stats.t, stats.mean, stats.var, stats.n_eff)
+    ], np.column_stack((stats.t, stats.mean, stats.var, stats.n_eff))
 
 
 def _add_output_args(p: argparse.ArgumentParser, default_name: str):

@@ -36,6 +36,9 @@ from .errors import NoZenoRegime, StalledAtFixedPoint, StepTooLarge, WeakCouplin
 from .measurement import BlochState
 
 _STALL_SPEED = 1e-10
+#: Time steps per block of the batched ensemble; a block of n trajectories
+#: holds about 130 n _BLOCK_STEPS bytes (notes/decisions.md, section 6).
+_BLOCK_STEPS = 512
 
 
 @dataclass
@@ -97,7 +100,16 @@ class WienerStream:
     gaussian: bool = False
 
     def increments(self, n: int) -> np.ndarray:
+        return self._draw(np.random.default_rng(self.seed), n)
+
+    def chunks(self, n: int, size: int):
+        """The first n increments as consecutive arrays of at most ``size``;
+        concatenated they equal ``increments(n)``."""
         rng = np.random.default_rng(self.seed)
+        for start in range(0, n, size):
+            yield self._draw(rng, min(size, n - start))
+
+    def _draw(self, rng, n: int) -> np.ndarray:
         root_dt = math.sqrt(self.dt)
         if self.gaussian:
             return rng.normal(0.0, root_dt, n)
@@ -125,6 +137,28 @@ class DiffusiveTrajectory:
     readout: np.ndarray
 
 
+def _sampling_steps(params: DiffusiveParams, dt: float, t_end: float) -> int:
+    """Check a sampling run and return its number of steps.
+
+    Raises StepTooLarge when dt > tau/10; warns, on behalf of the public
+    caller, when t_end exceeds tau (the weak-coupling window).
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if t_end <= 0.0:
+        raise ValueError("t_end must be positive")
+    if dt > params.tau / 10.0:
+        raise StepTooLarge(f"dt = {dt} exceeds tau/10 = {params.tau / 10.0}")
+    if t_end > params.tau:
+        warnings.warn(
+            f"t_end = {t_end} exceeds tau = {params.tau}; weak coupling (tau >> T) "
+            "is violated",
+            WeakCouplingWarning,
+            stacklevel=3,
+        )
+    return max(1, round(t_end / dt))
+
+
 def sample_trajectory(
     b0: BlochState,
     params: DiffusiveParams,
@@ -137,22 +171,9 @@ def sample_trajectory(
     Raises StepTooLarge when dt > tau/10; warns when t_end exceeds tau (the
     weak-coupling window).  Deterministic given (stream.seed, dt).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
-    if dt > params.tau / 10.0:
-        raise StepTooLarge(f"dt = {dt} exceeds tau/10 = {params.tau / 10.0}")
+    n_steps = _sampling_steps(params, dt, t_end)
     if stream.dt != dt:
         raise ValueError(f"stream.dt = {stream.dt} does not match dt = {dt}")
-    if t_end > params.tau:
-        warnings.warn(
-            f"t_end = {t_end} exceeds tau = {params.tau}; weak coupling (tau >> T) "
-            "is violated",
-            WeakCouplingWarning,
-            stacklevel=2,
-        )
-    n_steps = max(1, round(t_end / dt))
     dw = stream.increments(n_steps)
     path = _kernels.diffusive_walk(
         b0.x, b0.y, b0.z, params.omega_s, params.alpha, dt, dw
@@ -289,27 +310,53 @@ def ensemble_stats(
 
     Trajectory k uses seed ``base_seed + k`` and enters the weighted Welford
     update in that order, so n = 1 reproduces :func:`sample_trajectory` with
-    ``base_seed`` exactly.
+    ``base_seed`` exactly.  All n trajectories are stepped together, in blocks
+    of ``_BLOCK_STEPS`` time steps, with the arithmetic of the single sampler
+    (notes/decisions.md, section 6): only one block of paths is held at once.
+    Same checks and warning as :func:`sample_trajectory`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    # weighted Welford (West 1979) on log-weights: equal trajectories keep the
-    # variance exactly zero, and no weight underflows however long the run
-    mean = var = log_w = log_w2 = t = None
-    for k in range(n):
-        stream = WienerStream(seed=base_seed + k, dt=dt, gaussian=gaussian)
-        traj = sample_trajectory(b0, params, dt, t_end, stream)
-        lw = survival_log_weight(traj.bloch[:, 2], params.alpha, dt)
-        if mean is None:
-            t = traj.t
-            mean = np.zeros_like(traj.bloch)
-            var = np.zeros_like(traj.bloch)
-            log_w = np.full_like(lw, -np.inf)
-            log_w2 = np.full_like(lw, -np.inf)
-        log_w = np.logaddexp(log_w, lw)
-        log_w2 = np.logaddexp(log_w2, 2.0 * lw)
-        share = np.exp(lw - log_w)[:, None]  # this trajectory's share of the weight
-        delta = traj.bloch - mean
-        mean += share * delta
-        var = (1.0 - share) * var + share * delta * (traj.bloch - mean)
-    return EnsembleStats(t=t, mean=mean, var=var, n_eff=np.exp(2.0 * log_w - log_w2))
+    n_steps = _sampling_steps(params, dt, t_end)
+    draws = [
+        WienerStream(seed=base_seed + k, dt=dt, gaussian=gaussian).chunks(n_steps, _BLOCK_STEPS)
+        for k in range(n)
+    ]
+    t = np.arange(n_steps + 1) * dt
+    mean = np.zeros((n_steps + 1, 3))
+    var = np.zeros((n_steps + 1, 3))
+    log_w = np.full(n_steps + 1, -np.inf)
+    n_eff = np.empty(n_steps + 1)
+    x = np.full(n, b0.x, dtype=float)
+    y = np.full(n, b0.y, dtype=float)
+    z = np.full(n, b0.z, dtype=float)
+    decay = np.zeros(n)  # each trajectory's -log weight at the block's first row
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        dw = np.array([next(d) for d in draws]).T
+        paths = _kernels.diffusive_walk_batch(x, y, z, params.omega_s, params.alpha, dt, dw)
+        x, y, z = paths[:, -1].T
+        # survival_log_weight, carried across blocks: cumsum adds in order
+        pz = paths[:, :, 2]
+        steps = (0.25 * params.alpha * dt) * ((1.0 - pz[:, 1:]) + (1.0 - pz[:, :-1]))
+        cum = np.cumsum(np.concatenate((decay[:, None], steps), axis=1), axis=1)
+        decay = cum[:, -1]
+        lw = -cum
+        # the first row of a later block is the last row of the one before
+        first = 0 if start == 0 else 1
+        rows = slice(start + first, start + dw.shape[0] + 1)
+        # (sum w)^2 / sum w^2 over the block's weights relative to the largest:
+        # exactly n when all weights are equal
+        rel = np.exp(lw[:, first:] - lw[:, first:].max(axis=0))
+        n_eff[rows] = rel.sum(axis=0) ** 2 / (rel * rel).sum(axis=0)
+        # weighted Welford (West 1979) on log-weights in seed order: equal
+        # trajectories keep the variance exactly zero, and no weight
+        # underflows however long the run
+        for k in range(n):
+            bloch = paths[k, first:]
+            lwk = lw[k, first:]
+            log_w[rows] = np.logaddexp(log_w[rows], lwk)
+            share = np.exp(lwk - log_w[rows])[:, None]  # this trajectory's share of the weight
+            delta = bloch - mean[rows]
+            mean[rows] += share * delta
+            var[rows] = (1.0 - share) * var[rows] + share * delta * (bloch - mean[rows])
+    return EnsembleStats(t=t, mean=mean, var=var, n_eff=n_eff)

@@ -110,18 +110,25 @@ def p_theta_curve(theta: float, lam: float, e: float) -> float:
     return (e - lam * (1.0 - math.cos(theta))) / denom
 
 
+def critical_angles(lam: float):
+    """(theta1, theta2) = (-asin(1/lam), -pi - theta1), the zeros of
+    1 + lam sin(theta) in [-pi, 0] (lam >= 1; unchecked)."""
+    theta1 = -math.asin(1.0 / lam)
+    return theta1, -math.pi - theta1
+
+
 def critical_points(params: PhaseParams) -> CriticalPointSet:
     """Saddle pair theta1 = -asin(1/lam), theta2 = asin(1/lam) - pi (lam > 1)."""
     lam = params.lam
     if lam <= 1.0:
         raise NoZenoRegime(f"critical points require lam > 1, got {lam}")
     s = math.sqrt(lam * lam - 1.0)
-    theta1 = -math.asin(1.0 / lam)
+    theta1, theta2 = critical_angles(lam)
     gamma = 2.0 * params.omega_s * s
     return CriticalPointSet(
         theta1=theta1,
         p_theta1=1.0 / s,
-        theta2=-math.pi - theta1,
+        theta2=theta2,
         p_theta2=-1.0 / s,
         exponent_plus=gamma,
         exponent_minus=-gamma,
@@ -191,8 +198,7 @@ def stable_angle(theta: float, lam: float) -> float:
     """
     if lam < 1.0:
         raise NoZenoRegime(f"the stable critical angle requires lam >= 1, got {lam}")
-    theta1 = -math.asin(1.0 / lam)
-    theta2 = -math.pi - theta1
+    theta1, theta2 = critical_angles(lam)
     return theta1 + math.tau * math.floor((theta - theta2) / math.tau)
 
 

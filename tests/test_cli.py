@@ -2,8 +2,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+from zenopath import cli
 from zenopath.cli import main
 
 
@@ -139,7 +141,7 @@ def test_mlp_and_ensemble_commands(tmp_path):
     ) == 0
     header, rows = _read_csv(out)
     assert float(rows[-1][header.index("var_z")]) == 0.0
-    # equal weights: n_eff is n, to the rounding of its log-domain sums
+    # equal weights: n_eff is n
     assert all(float(r[header.index("n_eff")]) == pytest.approx(3.0, rel=1e-12) for r in rows)
 
 
@@ -163,6 +165,43 @@ def test_ensemble_n_eff_below_n_when_weighted(tmp_path):
     n_eff = [float(r[header.index("n_eff")]) for r in rows]
     assert max(n_eff) <= 3.0 * (1.0 + 1e-12)
     assert n_eff[-1] < 3.0 - 1e-4
+
+
+def test_ensemble_n_eff_exact_for_equal_weights(tmp_path):
+    out = tmp_path / "e.csv"
+    assert main(
+        ["ensemble", "--alpha", "0", "--n", "3", "--t-end", "1.0", "-o", str(out)]
+    ) == 0
+    header, rows = _read_csv(out)
+    assert {r[header.index("n_eff")] for r in rows} == {"3"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writer_matches_csv_and_json_modules(tmp_path, monkeypatch, fmt):
+    # blocks of 4 rows: 10 rows end on a partial block; non-finite cells included
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+    table = np.linspace(-3.0, 3.0, 30).reshape(10, 3) ** 3 / 7.0
+    table[2, 1], table[7, 0], table[9, 2] = math.nan, math.inf, -math.inf
+    short = [("P1", 0.1, -0.0), ("P2", 1e-300, 2.5)]
+    for columns, rows, plain in (
+        (["a", "b", "c"], table, table.tolist()),
+        (["point", "x", "y"], short, short),
+        (["a", "b", "c"], np.empty((0, 3)), []),
+    ):
+        path = tmp_path / f"t.{fmt}"
+        assert cli._write_table(path, columns, rows, fmt) == len(plain)
+        ref = tmp_path / f"ref.{fmt}"
+        with open(ref, "w", newline="") as fh:
+            if fmt == "csv":
+                writer = csv.writer(fh)
+                writer.writerow(columns)
+                for row in plain:
+                    writer.writerow([format(v, ".17g") if isinstance(v, float) else v
+                                     for v in row])
+            else:
+                json.dump({"columns": columns, "rows": plain}, fh, indent=1)
+                fh.write("\n")
+        assert path.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("key", ["lamda", "handler"])

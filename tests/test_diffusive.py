@@ -26,7 +26,9 @@ from zenopath import (
     sample_trajectory,
     sme_rhs,
     stochastic_hamiltonian,
+    survival_log_weight,
 )
+from zenopath import diffusive
 
 P1 = np.diag([0.0, 1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -323,6 +325,73 @@ def test_ensemble_survival_weighted_by_hand():
     np.testing.assert_allclose(stats.n_eff, total**2 / (w**2).sum(axis=0), rtol=1e-12)
     # the weights are not all equal, so the plain average would differ
     assert np.max(np.abs(x.mean(axis=0) - mean)) > 1e-3
+
+
+def _ensemble_reference(b0, params, dt, t_end, n, base_seed, gaussian):
+    """One sample_trajectory per seed, then the weighted Welford update in seed
+    order: the per-trajectory form that the batched ensemble must reproduce."""
+    mean = var = log_w = None
+    for k in range(n):
+        stream = WienerStream(seed=base_seed + k, dt=dt, gaussian=gaussian)
+        bloch = sample_trajectory(b0, params, dt, t_end, stream).bloch
+        lw = survival_log_weight(bloch[:, 2], params.alpha, dt)
+        if mean is None:
+            mean = np.zeros_like(bloch)
+            var = np.zeros_like(bloch)
+            log_w = np.full_like(lw, -np.inf)
+        log_w = np.logaddexp(log_w, lw)
+        share = np.exp(lw - log_w)[:, None]
+        delta = bloch - mean
+        mean += share * delta
+        var = (1.0 - share) * var + share * delta * (bloch - mean)
+    return mean, var
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize(
+    "params, gaussian",
+    [(PARAMS_15, False), (PARAMS_15, True), (DiffusiveParams(0.5, 0.0, 100.0), False)],
+    ids=["lam1.5-binary", "lam1.5-gaussian", "alpha0"],
+)
+def test_ensemble_batch_equals_per_seed_reference(monkeypatch, params, gaussian, block):
+    # 2500 steps cross several block boundaries and end on a partial block
+    if block is not None:
+        monkeypatch.setattr(diffusive, "_BLOCK_STEPS", block)
+    assert 2500 % diffusive._BLOCK_STEPS != 0
+    b0, dt, t_end, n, seed = BlochState(0.0, 0.6, 0.8), 1e-3, 2.5, 4, 31
+    stats = ensemble_stats(b0, params, dt, t_end, n, seed, gaussian=gaussian)
+    mean, var = _ensemble_reference(b0, params, dt, t_end, n, seed, gaussian)
+    assert np.array_equal(stats.t, np.arange(2501) * dt)
+    assert np.array_equal(stats.mean, mean)
+    assert np.array_equal(stats.var, var)
+    assert np.min(stats.var) >= 0.0
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_wiener_chunks_concatenate_to_increments(gaussian):
+    stream = WienerStream(seed=11, dt=1e-3, gaussian=gaussian)
+    whole = stream.increments(2500)
+    for size in (7, 333, 1000, 2500, 4096):
+        chunks = list(stream.chunks(2500, size))
+        assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
+        assert np.array_equal(np.concatenate(chunks), whole)
+
+
+def test_ensemble_n_eff_exact_for_equal_weights():
+    params = DiffusiveParams(omega_s=0.5, alpha=0.0, tau=100.0)
+    stats = ensemble_stats(BlochState(0, 0, 1), params, 1e-3, 1.5, n=3, base_seed=0)
+    assert np.all(stats.n_eff == 3.0)
+
+
+def test_ensemble_guards():
+    b0 = BlochState(0, 0, 1)
+    with pytest.raises(StepTooLarge):
+        ensemble_stats(b0, DiffusiveParams(omega_s=0.5, alpha=1.0, tau=1.0), 0.2, 1.0, 2, 0)
+    for dt, t_end, n in ((0.0, 1.0, 2), (1e-3, 0.0, 2), (1e-3, 1.0, 0)):
+        with pytest.raises(ValueError):
+            ensemble_stats(b0, PARAMS_15, dt, t_end, n, 0)
+    with pytest.warns(WeakCouplingWarning):
+        ensemble_stats(b0, DiffusiveParams(omega_s=0.5, alpha=1.0, tau=2.0), 1e-3, 3.0, 2, 0)
 
 
 def test_ensemble_reproducible():
