@@ -1,4 +1,5 @@
-"""Per-step loops and the formulas they step, in plain Python.
+"""Per-step loops, the formulas they step and the time grid and stall check
+of their integrators, in plain Python.
 
 Every loop runs on builtin floats: arithmetic on numpy scalars costs several
 times as much per operation and gives the same IEEE results
@@ -7,12 +8,35 @@ times as much per operation and gives the same IEEE results
 (section 6).  ``perfbench/`` times each kernel.
 """
 
+import warnings
 from math import cos, sin, sqrt
 
 import numpy as np
 
+from .errors import StalledAtFixedPoint
+
 #: There is no compiled kernel path; run records report this constant.
 NUMBA_ENABLED = False
+#: A path whose flow speed falls below this has stalled at a fixed point.
+STALL_SPEED = 1e-10
+
+
+def time_grid(dt, t_end):
+    """(n_steps, t) of a fixed-step run: max(1, round(t_end / dt)) steps and
+    the sample times k dt, k = 0 .. n_steps."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if t_end <= 0.0:
+        raise ValueError("t_end must be positive")
+    n_steps = max(1, round(t_end / dt))
+    return n_steps, np.arange(n_steps + 1) * dt
+
+
+def warn_if_stalled(min_speed):
+    """Warn the integrator's caller when a path's flow speed fell below STALL_SPEED."""
+    if min_speed < STALL_SPEED:
+        warnings.warn(f"flow speed fell to {min_speed:.3e}; path effectively stalled",
+                      StalledAtFixedPoint, stacklevel=3)
 
 
 def zeno_walk(x, y, z, omega_s, j_coupling, dt, n_steps, trace_floor):

@@ -31,14 +31,12 @@ _EXP_CAP = 700.0
 
 @dataclass(frozen=True)
 class TransitionTimes:
-    """Transition-time summary; ``t_total`` is set below the Zeno threshold,
-    the three segment frequencies above it."""
+    """The three segment frequencies of :func:`zeno_frequencies` at inset epsilon."""
 
     epsilon: float
-    t_total: float | None = None
-    omega1: float | None = None
-    omega12: float | None = None
-    omega2: float | None = None
+    omega1: float
+    omega12: float
+    omega2: float
 
 
 def _check_lambda(lam: float):

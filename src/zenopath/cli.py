@@ -23,7 +23,7 @@ from .errors import CurveSingularity, ZenoPathError
 from .measurement import BlochState
 from .phase import (
     PhaseParams, PhasePoint, critical_points, energy_level, p_theta_curve,
-    separatrix_energies, stability_exponents,
+    separatrix_energies,
 )
 from .action import (
     action_closed_form,
@@ -158,7 +158,7 @@ def _cmd_portrait(args):
 def _cmd_critical_points(args):
     params = PhaseParams(omega_s=args.omega_s, lam=args.lam)
     cps = critical_points(params)
-    plus, minus = stability_exponents(params)
+    plus, minus = cps.exponent_plus, cps.exponent_minus
     e_low, e_high = separatrix_energies(args.lam)
     e1 = energy_level(PhasePoint(cps.theta1, cps.p_theta1), params)
     e2 = energy_level(PhasePoint(cps.theta2, cps.p_theta2), params)
@@ -179,17 +179,11 @@ def _cmd_critical_points(args):
 
 
 def _cmd_action(args):
-    rows = []
-    if args.method in ("closed", "both"):
-        rows.append(
-            (args.lam, args.theta_i, args.theta_f, "closed",
-             action_closed_form(args.theta_i, args.theta_f, args.lam))
-        )
-    if args.method in ("quadrature", "both"):
-        rows.append(
-            (args.lam, args.theta_i, args.theta_f, "quadrature",
-             action_quadrature(args.theta_i, args.theta_f, args.lam))
-        )
+    methods = {"closed": action_closed_form, "quadrature": action_quadrature}
+    rows = [
+        (args.lam, args.theta_i, args.theta_f, name, action(args.theta_i, args.theta_f, args.lam))
+        for name, action in methods.items() if args.method in (name, "both")
+    ]
     return ["lambda", "theta_i_rad", "theta_f_rad", "method", "action"], rows
 
 
@@ -223,8 +217,8 @@ def _cmd_trajectory(args):
     b0 = BlochState(args.x0, args.y0, args.z0)
     stream = WienerStream(seed=args.seed, dt=args.dt, gaussian=args.gaussian)
     traj = sample_trajectory(b0, params, args.dt, args.t_end, stream)
-    readout = np.append(traj.readout, math.nan)  # no step starts at the last time
-    return ["time_ns", "x", "y", "z", "readout"], np.column_stack((traj.t, traj.bloch, readout))
+    table = np.column_stack((traj.t, traj.bloch, traj.readout))
+    return ["time_ns", "x", "y", "z", "readout"], table
 
 
 def _cmd_mlp(args):
@@ -285,7 +279,7 @@ _COLUMN_DOCS = {
                         "0->theta1+eps, theta2+eps->theta1-eps, theta2-eps->-pi",
     "density": "probability_density: normalized so the trapezoid integral over z_f is 1",
     "trajectory": "readout: record r_k = sqrt(tau) dW_k/dt for the step starting at "
-                  "time_ns (nan on the final row)",
+                  "time_ns (on the final row, the seeded stream's next step)",
     "mlp": "readout: extremal record; stochastic_hamiltonian: conserved generator",
     "ensemble": "mean/var: per-time mean and population variance over n "
                 "trajectories seeded base_seed+k, each weighted by the probability "
@@ -293,6 +287,12 @@ _COLUMN_DOCS = {
                 "n_eff: effective number of trajectories (sum w)^2 / sum w^2, so the "
                 "standard error of a mean is sqrt(var / n_eff)",
 }
+
+
+def _subcommand(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help, epilog=_COLUMN_DOCS[name])
+    p.set_defaults(handler=handler)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,62 +304,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"zenopath {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("portrait", help="constant-energy curves p_theta(theta)",
-                       epilog=_COLUMN_DOCS["portrait"])
+    p = _subcommand(sub, "portrait", _cmd_portrait, "constant-energy curves p_theta(theta)")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.add_argument("--theta-grid", nargs=3, default=(-3.14, 3.14, 629),
                    metavar=("START", "STOP", "COUNT"))
     p.add_argument("--energy-grid", nargs=3, default=(0.25, 2.0, 8),
                    metavar=("START", "STOP", "COUNT"))
-    _add_output_args(p, "portrait")
-    p.set_defaults(handler=_cmd_portrait)
 
-    p = sub.add_parser("critical-points", help="saddle pair, exponents, separatrices",
-                       epilog=_COLUMN_DOCS["critical-points"])
+    p = _subcommand(sub, "critical-points", _cmd_critical_points,
+                    "saddle pair, exponents, separatrices")
     p.add_argument("--lambda", dest="lam", type=float, default=1.5)
     p.add_argument("--omega-s", dest="omega_s", type=float, default=0.5)
-    _add_output_args(p, "critical_points")
-    p.set_defaults(handler=_cmd_critical_points)
 
-    p = sub.add_parser("action", help="stochastic action between two angles",
-                       epilog=_COLUMN_DOCS["action"])
+    p = _subcommand(sub, "action", _cmd_action, "stochastic action between two angles")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.add_argument("--theta-i", dest="theta_i", type=float, default=0.0)
     p.add_argument("--theta-f", dest="theta_f", type=float, default=-math.pi)
     p.add_argument("--method", choices=("closed", "quadrature", "both"), default="both")
-    _add_output_args(p, "action")
-    p.set_defaults(handler=_cmd_action)
 
-    p = sub.add_parser("transition-time", help="sub-Zeno 0 -> -pi transition time",
-                       epilog=_COLUMN_DOCS["transition-time"])
+    p = _subcommand(sub, "transition-time", _cmd_transition_time,
+                    "sub-Zeno 0 -> -pi transition time")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--lambda-grid", dest="lam_grid", nargs=3, default=None,
                    metavar=("START", "STOP", "COUNT"))
     p.add_argument("--omega-s", dest="omega_s", type=float, default=0.5)
-    _add_output_args(p, "transition_time")
-    p.set_defaults(handler=_cmd_transition_time)
 
-    p = sub.add_parser("zeno-frequencies", help="segment frequencies for lambda > 1",
-                       epilog=_COLUMN_DOCS["zeno-frequencies"])
+    p = _subcommand(sub, "zeno-frequencies", _cmd_zeno_frequencies,
+                    "segment frequencies for lambda > 1")
     p.add_argument("--lambda", dest="lam", type=float, default=1.5)
     p.add_argument("--lambda-grid", dest="lam_grid", nargs=3, default=None,
                    metavar=("START", "STOP", "COUNT"))
     p.add_argument("--omega-s", dest="omega_s", type=float, default=0.5)
     p.add_argument("--epsilon", type=float, default=1e-3)
-    _add_output_args(p, "zeno_frequencies")
-    p.set_defaults(handler=_cmd_zeno_frequencies)
 
-    p = sub.add_parser("density", help="most-likely final-state density over z_f",
-                       epilog=_COLUMN_DOCS["density"])
+    p = _subcommand(sub, "density", _cmd_density, "most-likely final-state density over z_f")
     p.add_argument("--lambda", dest="lam", type=float, default=1.5)
     p.add_argument("--theta-i", dest="theta_i", type=float, default=0.0)
     p.add_argument("--zf-grid", nargs=3, default=(-0.999, 0.999, 801),
                    metavar=("START", "STOP", "COUNT"))
-    _add_output_args(p, "density")
-    p.set_defaults(handler=_cmd_density)
 
-    p = sub.add_parser("trajectory", help="sample one conditioned diffusive trajectory",
-                       epilog=_COLUMN_DOCS["trajectory"])
+    p = _subcommand(sub, "trajectory", _cmd_trajectory,
+                    "sample one conditioned diffusive trajectory")
     _add_diffusive_args(p, t_end=20.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gaussian", action="store_true",
@@ -367,11 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--y0", type=float, default=0.0)
     p.add_argument("--z0", type=float, default=1.0)
-    _add_output_args(p, "trajectory")
-    p.set_defaults(handler=_cmd_trajectory)
 
-    p = sub.add_parser("mlp", help="integrate the most-likely-path equations",
-                       epilog=_COLUMN_DOCS["mlp"])
+    p = _subcommand(sub, "mlp", _cmd_mlp, "integrate the most-likely-path equations")
     _add_diffusive_args(p, t_end=10.0)
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--y0", type=float, default=0.4)
@@ -379,11 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--px0", type=float, default=0.5)
     p.add_argument("--py0", type=float, default=0.3)
     p.add_argument("--pz0", type=float, default=0.2)
-    _add_output_args(p, "mlp")
-    p.set_defaults(handler=_cmd_mlp)
 
-    p = sub.add_parser("ensemble", help="survival-weighted mean/variance over seeded trajectories",
-                       epilog=_COLUMN_DOCS["ensemble"])
+    p = _subcommand(sub, "ensemble", _cmd_ensemble,
+                    "survival-weighted mean/variance over seeded trajectories")
     _add_diffusive_args(p, t_end=20.0)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=int, default=0, help="base seed; trajectory k uses seed+k")
@@ -391,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--y0", type=float, default=0.0)
     p.add_argument("--z0", type=float, default=1.0)
-    _add_output_args(p, "ensemble")
-    p.set_defaults(handler=_cmd_ensemble)
 
+    for name, p in sub.choices.items():
+        _add_output_args(p, name.replace("-", "_"))
     return parser
 
 
@@ -418,9 +398,20 @@ def main(argv=None) -> int:
             print(f"error[config]: {args.config}: unknown keys for {args.command}: "
                   f"{', '.join(unknown)}", file=sys.stderr)
             return 2
-        # file values become the subcommand's defaults, so explicit flags win
         (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        sub.choices[args.command].set_defaults(**overrides)
+        command = sub.choices[args.command]
+        # a number gets its option's type, as argparse converts command-line text
+        for a in command._actions:
+            v = overrides.get(a.dest)
+            if a.type is not None and type(v) in (int, float):
+                try:
+                    overrides[a.dest] = a.type(str(v))
+                except ValueError:
+                    print(f"error[config]: {args.config}: {a.dest} = {v!r} is not a valid "
+                          f"{a.type.__name__}", file=sys.stderr)
+                    return 2
+        # file values become the subcommand's defaults, so explicit flags win
+        command.set_defaults(**overrides)
         args = parser.parse_args(argv)
 
     resolved = {

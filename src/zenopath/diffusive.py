@@ -32,10 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import NoZenoRegime, StalledAtFixedPoint, StepTooLarge, WeakCouplingWarning
+from .errors import NoZenoRegime, StepTooLarge, WeakCouplingWarning
 from .measurement import BlochState
 
-_STALL_SPEED = 1e-10
 #: Time steps per block of the batched ensemble; a block of n trajectories
 #: holds about 130 n _BLOCK_STEPS bytes (notes/decisions.md, section 6).
 _BLOCK_STEPS = 512
@@ -129,24 +128,22 @@ def sme_rhs(b: BlochState, r: float, params: DiffusiveParams):
 
 @dataclass(frozen=True)
 class DiffusiveTrajectory:
-    """Sampled conditioned trajectory: times, Bloch rows (x, y, z) and the
-    per-step readout record r_k = sqrt(tau) dW_k / dt."""
+    """Sampled conditioned trajectory: times, Bloch rows (x, y, z) and, row for
+    row, the readout r_k = sqrt(tau) dW_k / dt of the step that starts at t_k.
+    The last row's readout is the seeded stream's next step, not walked."""
 
     t: np.ndarray
     bloch: np.ndarray
     readout: np.ndarray
 
 
-def _sampling_steps(params: DiffusiveParams, dt: float, t_end: float) -> int:
-    """Check a sampling run and return its number of steps.
+def _sampling_steps(params: DiffusiveParams, dt: float, t_end: float):
+    """Check a sampling run and return its :func:`_kernels.time_grid`.
 
     Raises StepTooLarge when dt > tau/10; warns, on behalf of the public
     caller, when t_end exceeds tau (the weak-coupling window).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    grid = _kernels.time_grid(dt, t_end)
     if dt > params.tau / 10.0:
         raise StepTooLarge(f"dt = {dt} exceeds tau/10 = {params.tau / 10.0}")
     if t_end > params.tau:
@@ -156,7 +153,7 @@ def _sampling_steps(params: DiffusiveParams, dt: float, t_end: float) -> int:
             WeakCouplingWarning,
             stacklevel=3,
         )
-    return max(1, round(t_end / dt))
+    return grid
 
 
 def sample_trajectory(
@@ -171,14 +168,13 @@ def sample_trajectory(
     Raises StepTooLarge when dt > tau/10; warns when t_end exceeds tau (the
     weak-coupling window).  Deterministic given (stream.seed, dt).
     """
-    n_steps = _sampling_steps(params, dt, t_end)
+    n_steps, t = _sampling_steps(params, dt, t_end)
     if stream.dt != dt:
         raise ValueError(f"stream.dt = {stream.dt} does not match dt = {dt}")
-    dw = stream.increments(n_steps)
+    dw = stream.increments(n_steps + 1)  # one readout per row of the path
     path = _kernels.diffusive_walk(
-        b0.x, b0.y, b0.z, params.omega_s, params.alpha, dt, dw
+        b0.x, b0.y, b0.z, params.omega_s, params.alpha, dt, dw[:-1]
     )
-    t = np.arange(n_steps + 1) * dt
     readout = math.sqrt(params.tau) * dw / dt
     return DiffusiveTrajectory(t=t, bloch=path, readout=readout)
 
@@ -228,22 +224,12 @@ def integrate_mlp(
     dt: float,
     t_end: float,
 ) -> MLPTrajectory:
-    """RK4 integration of the extremal equations from s0."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
-    n_steps = max(1, round(t_end / dt))
+    """RK4 integration of the extremal equations from s0; warns if it stalls."""
+    n_steps, t = _kernels.time_grid(dt, t_end)
     states, min_speed = _kernels.mlp_rk4(
         s0.as_array(), params.omega_s, params.alpha, dt, n_steps
     )
-    if min_speed < _STALL_SPEED:
-        warnings.warn(
-            f"flow speed fell to {min_speed:.3e}; path effectively stalled",
-            StalledAtFixedPoint,
-            stacklevel=2,
-        )
-    t = np.arange(n_steps + 1) * dt
+    _kernels.warn_if_stalled(min_speed)
     x, y, z, px, py, pz = states.T
     readout = math.sqrt(params.alpha * params.tau) * (y * px - x * py)
     return MLPTrajectory(t=t, states=states, readout=readout)
@@ -284,11 +270,15 @@ class EnsembleStats:
     n_eff: np.ndarray
 
 
-def survival_log_weight(z: np.ndarray, alpha: float, dt: float) -> np.ndarray:
+def survival_log_weight(z: np.ndarray, alpha: float, dt: float, decay=0.0) -> np.ndarray:
     """log P(no click up to each sample) = -int alpha (1 - z)/2 dt, trapezoid
-    rule over the samples z of one trajectory (first entry 0)."""
-    steps = (0.25 * alpha * dt) * ((1.0 - z[1:]) + (1.0 - z[:-1]))
-    return -np.concatenate(([0.0], np.cumsum(steps)))
+    rule over the samples z along the last axis, starting from -decay (0 for
+    a whole trajectory; a later block carries on from the one before)."""
+    z = np.asarray(z)
+    cum = np.empty(z.shape)
+    cum[..., 0] = decay
+    cum[..., 1:] = (0.25 * alpha * dt) * ((1.0 - z[..., 1:]) + (1.0 - z[..., :-1]))
+    return -np.cumsum(cum, axis=-1)
 
 
 def ensemble_stats(
@@ -317,12 +307,11 @@ def ensemble_stats(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    n_steps = _sampling_steps(params, dt, t_end)
+    n_steps, t = _sampling_steps(params, dt, t_end)
     draws = [
         WienerStream(seed=base_seed + k, dt=dt, gaussian=gaussian).chunks(n_steps, _BLOCK_STEPS)
         for k in range(n)
     ]
-    t = np.arange(n_steps + 1) * dt
     mean = np.zeros((n_steps + 1, 3))
     var = np.zeros((n_steps + 1, 3))
     log_w = np.full(n_steps + 1, -np.inf)
@@ -335,12 +324,8 @@ def ensemble_stats(
         dw = np.array([next(d) for d in draws]).T
         paths = _kernels.diffusive_walk_batch(x, y, z, params.omega_s, params.alpha, dt, dw)
         x, y, z = paths[:, -1].T
-        # survival_log_weight, carried across blocks: cumsum adds in order
-        pz = paths[:, :, 2]
-        steps = (0.25 * params.alpha * dt) * ((1.0 - pz[:, 1:]) + (1.0 - pz[:, :-1]))
-        cum = np.cumsum(np.concatenate((decay[:, None], steps), axis=1), axis=1)
-        decay = cum[:, -1]
-        lw = -cum
+        lw = survival_log_weight(paths[:, :, 2], params.alpha, dt, decay)
+        decay = -lw[:, -1]
         # the first row of a later block is the last row of the one before
         first = 0 if start == 0 else 1
         rows = slice(start + first, start + dw.shape[0] + 1)

@@ -31,8 +31,6 @@ from . import _kernels
 from .errors import InvalidState, NormalizationUnderflow
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 #: Post-selection trace denominators at or below this are treated as state
 #: annihilation (e.g. a projective J*dt = pi/2 readout acting on |1>).

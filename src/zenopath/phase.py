@@ -19,7 +19,6 @@ import numpy as np
 from . import _kernels
 from .errors import CurveSingularity, NoZenoRegime, StalledAtFixedPoint
 
-_STALL_SPEED = 1e-10
 _CRITICAL_DISTANCE = 1e-6
 
 
@@ -124,15 +123,7 @@ def critical_points(params: PhaseParams) -> CriticalPointSet:
         raise NoZenoRegime(f"critical points require lam > 1, got {lam}")
     s = math.sqrt(lam * lam - 1.0)
     theta1, theta2 = critical_angles(lam)
-    gamma = 2.0 * params.omega_s * s
-    return CriticalPointSet(
-        theta1=theta1,
-        p_theta1=1.0 / s,
-        theta2=theta2,
-        p_theta2=-1.0 / s,
-        exponent_plus=gamma,
-        exponent_minus=-gamma,
-    )
+    return CriticalPointSet(theta1, 1.0 / s, theta2, -1.0 / s, *stability_exponents(params))
 
 
 def stability_exponents(params: PhaseParams):
@@ -222,11 +213,7 @@ def integrate_phase_path(
     """
     if dt is None:
         dt = 1e-3 / params.omega_s
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
-    n_steps = max(1, round(t_end / dt))
+    n_steps, t = _kernels.time_grid(dt, t_end)
     anchored = params.lam >= 1.0
     if anchored:
         theta_ref = stable_angle(start.theta, params.lam)
@@ -239,12 +226,7 @@ def integrate_phase_path(
     )
     theta = theta_ref + path[:, 0]
     p = path[:, 1]
-    if min_speed < _STALL_SPEED:
-        warnings.warn(
-            f"flow speed fell to {min_speed:.3e}; path effectively stalled",
-            StalledAtFixedPoint,
-            stacklevel=2,
-        )
+    _kernels.warn_if_stalled(min_speed)
     if params.lam > 1.0:
         cps = critical_points(params)
         for cp in (cps.p1, cps.p2):
@@ -258,7 +240,6 @@ def integrate_phase_path(
                     stacklevel=2,
                 )
                 break
-    t = np.arange(n_steps + 1) * dt
     return PhasePath(
         t=t, theta=theta, p_theta=p,
         deviation=path[:, 0] if anchored else None, theta_ref=theta_ref,

@@ -234,3 +234,45 @@ def test_json_floats_read_back_identical(tmp_path):
     traj = integrate_mlp(ExtendedState(0.0, 0.4, 0.916, 0.5, 0.3, 0.2), params, 1e-3, 0.5)
     assert [r[1:7] for r in rows] == traj.states.tolist()
     assert [r[7] for r in rows] == traj.readout.tolist()
+
+
+def test_trajectory_json_is_strict_with_one_readout_per_row(tmp_path):
+    from zenopath import DiffusiveParams, WienerStream, _kernels
+
+    out = tmp_path / "t.json"
+    assert main(["trajectory", "--lambda", "1.5", "--seed", "5", "--t-end", "1",
+                 "--format", "json", "-o", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON (RFC 8259)")
+
+    rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
+    n, dt = 1000, 1e-3
+    params = DiffusiveParams.from_lambda(0.5, 1.5, tau=100.0)
+    stream = WienerStream(seed=5, dt=dt)
+    bloch = _kernels.diffusive_walk(
+        0.0, 0.0, 1.0, params.omega_s, params.alpha, dt, stream.increments(n)
+    )
+    readout = math.sqrt(100.0) * stream.increments(n + 1) / dt
+    assert rows == np.column_stack((np.arange(n + 1) * dt, bloch, readout)).tolist()
+
+
+def test_config_numbers_take_the_option_type(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("omega_s = 1\nlam = 0\n")
+    out = tmp_path / "tt.json"
+    assert main(["transition-time", "--config", str(cfg), "--format", "json",
+                 "-o", str(out)]) == 0
+    sidecar = (tmp_path / "tt.config.json").read_text()
+    assert '"omega_s": 1.0' in sidecar and '"lam": 0.0' in sidecar
+    assert json.loads(out.read_text())["rows"][0][:2] == [0.0, 1.0]
+
+
+def test_config_value_the_type_rejects_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 7.5\n")
+    out = tmp_path / "t.csv"
+    assert main(["trajectory", "--config", str(cfg), "--t-end", "0.01", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]") and "seed" in err
+    assert not out.exists()

@@ -146,7 +146,7 @@ def test_trajectory_stays_normalized():
 def test_trajectory_readout_convention():
     stream = WienerStream(seed=3, dt=1e-3)
     traj = sample_trajectory(BlochState(0, 0, 1), PARAMS_15, 1e-3, 1.0, stream)
-    dw = stream.increments(1000)
+    dw = stream.increments(1001)
     np.testing.assert_allclose(traj.readout, math.sqrt(100.0) * dw / 1e-3)
 
 
@@ -411,3 +411,31 @@ def test_params_validation():
     p = DiffusiveParams.from_lambda(omega_s=0.5, lam=1.5, tau=50.0)
     assert p.alpha == pytest.approx(3.0)
     assert p.lam == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("dt, t_end", [(0.0, 1.0), (-1e-3, 1.0), (1e-3, 0.0), (1e-3, -1.0)])
+def test_integrate_mlp_rejects_nonpositive_dt_or_t_end(dt, t_end):
+    with pytest.raises(ValueError, match="must be positive"):
+        integrate_mlp(GENERIC_IC, PARAMS_15, dt, t_end)
+
+
+def test_mlp_stalls_at_its_fixed_point():
+    # every extremal derivative is exactly 0 there, so the minimum speed is 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        integrate_mlp(mlp_fixed_point(PARAMS_15), PARAMS_15, 1e-3, 0.1)
+    (stall,) = caught
+    assert stall.category is StalledAtFixedPoint
+    assert "fell to 0.000e+00" in str(stall.message)
+    assert stall.filename == __file__
+
+
+def test_survival_log_weight_carries_decay_across_blocks():
+    z = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 23))
+    whole = np.array([survival_log_weight(zk, 3.0, 1e-3) for zk in z])
+    decay, blocks = np.zeros(5), []
+    for start in range(0, 22, 8):  # blocks share their edge sample, as in ensemble_stats
+        lw = survival_log_weight(z[:, start:start + 9], 3.0, 1e-3, decay)
+        blocks.append(lw if start == 0 else lw[:, 1:])
+        decay = -lw[:, -1]
+    assert np.array_equal(np.concatenate(blocks, axis=1), whole)

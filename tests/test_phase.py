@@ -269,3 +269,19 @@ def test_wrap_angle():
     assert wrap_angle(3 * math.pi) == pytest.approx(-math.pi)
     assert wrap_angle(-0.3) == pytest.approx(-0.3)
     assert abs(wrap_angle(2 * math.pi)) < 1e-15
+
+
+@pytest.mark.parametrize("dt, t_end", [(0.0, 1.0), (-1e-3, 1.0), (1e-3, 0.0), (1e-3, -1.0)])
+def test_integrate_phase_path_rejects_nonpositive_dt_or_t_end(dt, t_end):
+    with pytest.raises(ValueError, match="must be positive"):
+        integrate_phase_path(PhasePoint(0.0, 1.0), P15, t_end=t_end, dt=dt)
+
+
+def test_stall_warning_points_at_the_caller():
+    cps = critical_points(P15)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        integrate_phase_path(cps.p1, P15, t_end=0.5)
+    stalls = [w for w in caught if "effectively stalled" in str(w.message)]
+    assert len(stalls) == 1 and stalls[0].category is StalledAtFixedPoint
+    assert stalls[0].filename == __file__
