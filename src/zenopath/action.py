@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     EpsilonTooLarge,
@@ -147,6 +146,9 @@ def action_quadrature(theta_i: float, theta_f: float, lam: float) -> float:
             )
     if theta_i == theta_f:
         return 0.0
+    # scipy is imported on first use so that importing zenopath loads numpy only
+    from scipy import integrate
+
     value, _ = integrate.quad(
         _integrand, theta_i, theta_f, args=(lam,),
         epsabs=_QUAD_ABS_TOL, epsrel=1e-12, limit=500,
@@ -173,6 +175,8 @@ def transition_time_sub_zeno(lam: float, omega_s: float) -> float:
 
 def _segment_time(a: float, b: float, lam: float, omega_s: float) -> float:
     """|integral dtheta / thetadot| over [a, b], integrated along the flow."""
+    from scipy import integrate
+
     value, _ = integrate.quad(
         lambda th: 1.0 / abs(2.0 * omega_s * (1.0 + lam * math.sin(th))),
         a, b, epsabs=1e-12, epsrel=1e-10, limit=500,
@@ -237,15 +241,22 @@ def action_discontinuity(lam: float, epsilon: float = 1e-3):
 
 
 def final_state_density(lam: float, theta_i: float = 0.0, grid=None):
-    """Leading-order density of final z over a grid, from the extremized action.
+    """Weights exp(A) over final z, normalized over z_f, from the extremized action.
 
-    Each final coordinate z_f in (-1, 1) maps to theta_f = -arccos(z_f); the
-    weight is exp(A) with A taken along the path oriented from theta_f back to
-    theta_i, evaluated through the principal-value primitive so that both
-    regimes of theta_f are covered for lam > 1.  Weights are capped at
-    exp(700) before normalizing (trapezoid rule over the grid integrates
-    to 1); the cap is a plotting regularization near the log-divergent peak,
-    not physics.
+    On a null-record path the action is the log no-click probability:
+    A(theta_0 -> theta(T)) = log ||exp(M T) psi_0||^2 with
+    M = -i Omega_s sigma_x - (alpha/2)|1><1| (notes/decisions.md, section 8).
+    Each z_f in (-1, 1) maps to theta_f = -arccos(z_f); the weight is exp(A)
+    with A taken along the path oriented from theta_f back to theta_i,
+    evaluated through the principal-value primitive so that both regimes of
+    theta_f are covered for lam > 1.  Where the flow runs from theta_i to
+    theta_f, that orientation makes the weight the reciprocal of the no-click
+    probability of reaching theta_f.  Each weight belongs to the time the flow
+    takes to reach its own z_f, so the result is normalized over z_f; it is
+    not a density of z at one fixed time.  Weights are capped at exp(700)
+    before normalizing (the trapezoid rule over the grid integrates to 1);
+    the cap is a plotting regularization near the log-divergent peak, not
+    physics.
     """
     _check_lambda(lam)
     if grid is None:
@@ -263,5 +274,5 @@ def final_state_density(lam: float, theta_i: float = 0.0, grid=None):
         theta_f = -math.acos(zf)
         log_w[idx] = f_i - _antiderivative(theta_f, lam)
     weights = np.exp(np.minimum(log_w, _EXP_CAP))
-    total = integrate.trapezoid(weights, z)
+    total = np.sum(np.diff(z) * (weights[1:] + weights[:-1]) / 2.0)  # trapezoid rule
     return z, weights / total

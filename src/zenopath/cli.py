@@ -410,6 +410,11 @@ def main(argv=None) -> int:
                     print(f"error[config]: {args.config}: {a.dest} = {v!r} is not a valid "
                           f"{a.type.__name__}", file=sys.stderr)
                     return 2
+            if (a.choices is not None and a.dest in overrides
+                    and overrides[a.dest] not in a.choices):
+                print(f"error[config]: {args.config}: {a.dest} = {overrides[a.dest]!r} is not "
+                      f"one of {', '.join(map(str, a.choices))}", file=sys.stderr)
+                return 2
         # file values become the subcommand's defaults, so explicit flags win
         command.set_defaults(**overrides)
         args = parser.parse_args(argv)

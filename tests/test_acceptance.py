@@ -27,7 +27,6 @@ from zenopath import (
     action_discontinuity,
     action_quadrature,
     critical_points,
-    drift_rhs,
     ensemble_stats,
     final_state_density,
     hamilton_rhs,
@@ -165,20 +164,10 @@ def test_criterion_07_density_shape():
     assert _report(7, ok, "density flat at lam=0, peaked at z=0.745 at lam=1.5, normalized")
 
 
-def test_criterion_08_mc_ode_equivalence():
+def test_criterion_08_mc_ode_equivalence(rk4_drift_endpoint):
     lam, t_total = 0.5, 2.0
-
-    def f(q):
-        return np.array(drift_rhs(BlochState(*q), OMEGA_S, lam))
-
-    v = np.array([0.0, 0.0, 1.0])
     dt_ref = 1e-5
-    for _ in range(int(t_total / dt_ref)):
-        k1 = f(v)
-        k2 = f(v + 0.5 * dt_ref * k1)
-        k3 = f(v + 0.5 * dt_ref * k2)
-        k4 = f(v + dt_ref * k3)
-        v = v + dt_ref * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+    v = rk4_drift_endpoint((0.0, 0.0, 1.0), OMEGA_S, lam, dt_ref, int(t_total / dt_ref))
     errs = []
     for dt in (2e-3, 1e-3, 5e-4):
         params = MeasurementParams.from_lambda(OMEGA_S, lam, dt)

@@ -1,8 +1,13 @@
+import ast
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import zenopath
 from zenopath import (
     EpsilonTooLarge,
     IntegrandSingular,
@@ -14,6 +19,8 @@ from zenopath import (
     critical_points,
     final_state_density,
     PhaseParams,
+    PhasePoint,
+    integrate_phase_path,
     transition_time_sub_zeno,
     zeno_frequencies,
 )
@@ -245,3 +252,67 @@ def test_density_grid_validation():
         final_state_density(0.5, grid=np.array([-1.0, 0.0, 0.5]))
     with pytest.raises(UnsupportedLambda):
         final_state_density(1.0)
+
+
+def _no_click_log_probability(lam, omega_s, theta0, t):
+    """log ||exp(M t) psi_0||^2 with M = -i Omega_s sigma_x - (alpha/2)|1><1|."""
+    from scipy.linalg import expm
+
+    alpha = 4.0 * omega_s * lam
+    m = np.array([[0.0, -1j * omega_s], [-1j * omega_s, -0.5 * alpha]])
+    psi = expm(m * t) @ np.array([math.cos(0.5 * theta0), 1j * math.sin(0.5 * theta0)])
+    return math.log(np.vdot(psi, psi).real)
+
+
+@pytest.mark.parametrize("lam, t", [(0.5, 0.5), (0.5, 2.0), (1.5, 0.5), (1.5, 1.5), (1.5, 3.0)])
+def test_action_is_log_no_click_probability(lam, t):
+    omega_s = 0.5
+    path = integrate_phase_path(PhasePoint(0.0, 0.0), PhaseParams(omega_s, lam), t, dt=1e-4)
+    action = action_closed_form(0.0, float(path.theta[-1]), lam)
+    assert action == pytest.approx(_no_click_log_probability(lam, omega_s, 0.0, t), rel=1e-12)
+
+
+@pytest.mark.parametrize("lam, t", [(0.5, 2.0), (1.5, 1.5)])
+def test_density_weight_is_reciprocal_no_click_probability(lam, t):
+    omega_s, theta0 = 0.5, -0.3
+    path = integrate_phase_path(PhasePoint(theta0, 0.0), PhaseParams(omega_s, lam), t, dt=1e-4)
+    z, w = final_state_density(lam, theta0, [math.cos(path.theta[-1]), math.cos(theta0)])
+    log_ratio = math.log(w[0] / w[1])
+    assert log_ratio == pytest.approx(
+        -_no_click_log_probability(lam, omega_s, theta0, t), rel=1e-10
+    )
+
+
+def _fresh_python(code):
+    """Standard output of ``code`` run in a new interpreter that imports this zenopath."""
+    src = os.path.dirname(os.path.dirname(zenopath.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_import_and_closed_forms_load_no_scipy():
+    code = (
+        "import sys, zenopath, zenopath.cli\n"
+        "zenopath.action_closed_form(0.0, -1.0, 0.5)\n"
+        "zenopath.final_state_density(1.5)\n"
+        "zenopath.transition_time_sub_zeno(0.5, 0.5)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    assert _fresh_python(code) == "[]\n"
+
+
+def test_zeno_frequencies_in_fresh_interpreter():
+    code = (
+        "from zenopath import zeno_frequencies\n"
+        "t = zeno_frequencies(1.5, 0.5)\n"
+        "print(repr((t.omega1, t.omega12, t.omega2)))\n"
+    )
+    values = ast.literal_eval(_fresh_python(code))
+    here = zeno_frequencies(1.5, 0.5)
+    assert values == (here.omega1, here.omega12, here.omega2)
+    assert values == pytest.approx(
+        (0.17620618766939664, 0.07650889912726083, 0.17620618766938673), rel=1e-12
+    )

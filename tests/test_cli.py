@@ -276,3 +276,25 @@ def test_config_value_the_type_rejects_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error[config]") and "seed" in err
     assert not out.exists()
+
+
+def test_config_method_outside_choices_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"method": "bogus"}')
+    out = tmp_path / "a.csv"
+    assert main(["action", "--config", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]")
+    assert "method" in err and "'bogus'" in err and "closed, quadrature, both" in err
+    assert not out.exists()
+
+
+def test_config_format_outside_choices_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ZENOPATH_OUTDIR", str(tmp_path))
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"format": "xml"}')
+    assert main(["transition-time", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]")
+    assert "format" in err and "'xml'" in err and "csv, json" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]

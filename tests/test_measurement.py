@@ -193,20 +193,10 @@ def test_mc_matches_matrix_update():
         assert np.max(np.abs(path[k] - ref.as_array())) < 1e-12
 
 
-def test_mc_first_order_convergence():
+def test_mc_first_order_convergence(rk4_drift_endpoint):
     omega_s, lam, t_total = 0.5, 0.5, 2.0
-
-    def f(q):
-        return np.array(drift_rhs(BlochState(*q), omega_s, lam))
-
-    v = np.array([0.0, 0.0, 1.0])
     dt_ref = 1e-5
-    for _ in range(int(t_total / dt_ref)):
-        k1 = f(v)
-        k2 = f(v + 0.5 * dt_ref * k1)
-        k3 = f(v + 0.5 * dt_ref * k2)
-        k4 = f(v + dt_ref * k3)
-        v = v + dt_ref * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+    v = rk4_drift_endpoint((0.0, 0.0, 1.0), omega_s, lam, dt_ref, int(t_total / dt_ref))
 
     errs = []
     for dt in (2e-3, 1e-3, 5e-4):
@@ -215,6 +205,23 @@ def test_mc_first_order_convergence():
         errs.append(np.max(np.abs(path[-1] - v)))
     assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.2)
     assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.2)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.5])
+def test_rk4_float_loop_matches_vector_loop(rk4_drift_endpoint, lam):
+    omega_s, dt, n_steps = 0.5, 1e-5, 2000
+
+    def f(q):
+        return np.array(drift_rhs(BlochState(*q), omega_s, lam))
+
+    v = np.array([0.0, 0.0, 1.0])
+    for _ in range(n_steps):
+        k1 = f(v)
+        k2 = f(v + 0.5 * dt * k1)
+        k3 = f(v + 0.5 * dt * k2)
+        k4 = f(v + dt * k3)
+        v = v + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+    assert np.array_equal(rk4_drift_endpoint((0.0, 0.0, 1.0), omega_s, lam, dt, n_steps), v)
 
 
 def test_params_invariants():
