@@ -4,8 +4,8 @@ of their integrators, in plain Python.
 Every loop runs on builtin floats: arithmetic on numpy scalars costs several
 times as much per operation and gives the same IEEE results
 (notes/decisions.md, section 5).  The one exception is
-:func:`diffusive_walk_batch`, which steps a whole ensemble as numpy vectors
-(section 6).  ``perfbench/`` times each kernel.
+:func:`diffusive_walk_batch`, which steps a whole ensemble as one stacked
+(3, n) numpy array (section 6).  ``perfbench/`` times each kernel.
 """
 
 import warnings
@@ -131,33 +131,22 @@ def phase_rk4(u0, p0, omega_s, lam, theta_ref, anchored, dt, n_steps):
     return out, min_speed
 
 
-def bloch_drift(x, y, z, omega_s, alpha, w):
+def bloch_drift(x, y, z, omega_s, alpha, w=None):
     """Conditioned Bloch drift: null-record decay at rate alpha, Rabi drive
-    2 omega_s, and a rotation about z at rate w.
+    2 omega_s, and, when w is given, a rotation about z at rate w.
 
     The one definition of the drift, for scalars and arrays alike.  w is
-    r sqrt(alpha/tau) for a readout r, alpha (y p_x - x p_y) on the most-likely
-    path, and 0.0 for the post-selected drift and the sampler's RK4 substep.
+    r sqrt(alpha/tau) for a readout r and alpha (y p_x - x p_y) on the
+    most-likely path; the post-selected drift and the sampler's RK4 substep
+    have no rotation and pass none.
     """
-    dx = -0.5 * alpha * x * z + w * y
-    dy = -0.5 * alpha * y * z - w * x - 2.0 * omega_s * z
+    dx = -0.5 * alpha * x * z
+    dy = -0.5 * alpha * y * z
+    if w is not None:
+        dx, dy = dx + w * y, dy - w * x
+    dy = dy - 2.0 * omega_s * z
     dz = 0.5 * alpha * (1.0 - z * z) + 2.0 * omega_s * y
     return dx, dy, dz
-
-
-def _drift_and_rotate(x, y, z, c, s, omega_s, alpha, dt, h):
-    """One sampler step before renormalization: RK4 on the drift, then the
-    rotation about z with cosine c and sine s.  Scalars or arrays alike."""
-    k1x, k1y, k1z = bloch_drift(x, y, z, omega_s, alpha, 0.0)
-    k2x, k2y, k2z = bloch_drift(x + h * k1x, y + h * k1y, z + h * k1z, omega_s, alpha, 0.0)
-    k3x, k3y, k3z = bloch_drift(x + h * k2x, y + h * k2y, z + h * k2z, omega_s, alpha, 0.0)
-    k4x, k4y, k4z = bloch_drift(
-        x + dt * k3x, y + dt * k3y, z + dt * k3z, omega_s, alpha, 0.0
-    )
-    xn = x + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
-    yn = y + dt * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
-    zn = z + dt * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
-    return c * xn + s * yn, c * yn - s * xn, zn
 
 
 def diffusive_walk(x, y, z, omega_s, alpha, dt, dw):
@@ -176,7 +165,15 @@ def diffusive_walk(x, y, z, omega_s, alpha, dt, dw):
     sin_a = np.sin(angle).tolist()
     h = 0.5 * dt
     for k in range(n_steps):
-        xr, yr, zn = _drift_and_rotate(x, y, z, cos_a[k], sin_a[k], omega_s, alpha, dt, h)
+        k1x, k1y, k1z = bloch_drift(x, y, z, omega_s, alpha)
+        k2x, k2y, k2z = bloch_drift(x + h * k1x, y + h * k1y, z + h * k1z, omega_s, alpha)
+        k3x, k3y, k3z = bloch_drift(x + h * k2x, y + h * k2y, z + h * k2z, omega_s, alpha)
+        k4x, k4y, k4z = bloch_drift(x + dt * k3x, y + dt * k3y, z + dt * k3z, omega_s, alpha)
+        xn = x + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+        yn = y + dt * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+        zn = z + dt * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
+        xr = cos_a[k] * xn + sin_a[k] * yn
+        yr = cos_a[k] * yn - sin_a[k] * xn
         norm = sqrt(xr * xr + yr * yr + zn * zn)
         x = xr / norm
         y = yr / norm
@@ -188,31 +185,34 @@ def diffusive_walk(x, y, z, omega_s, alpha, dt, dw):
 
 
 def diffusive_walk_batch(x, y, z, omega_s, alpha, dt, dw):
-    """:func:`diffusive_walk` for n states at once, each a numpy vector.
+    """:func:`diffusive_walk` for n states at once, stacked as one (3, n) array.
 
     x, y, z have shape (n,) and dw shape (n_steps, n), column j driving state
-    j.  The arithmetic is that of :func:`diffusive_walk`, element by element,
-    so every state's path is bit-identical to its scalar walk.  Returns the
-    paths as (n, n_steps + 1, 3), row 0 being the start.
+    j.  Each element sees the operations of :func:`diffusive_walk` in the same
+    order, so every state's path is bit-identical to its scalar walk.  Returns
+    the paths as (n_steps + 1, 3, n): row k holds the n states (x, y, z) at
+    step k, row 0 being the start.
     """
     n_steps, n = dw.shape
-    out = np.empty((n, n_steps + 1, 3))
-    out[:, 0, 0] = x
-    out[:, 0, 1] = y
-    out[:, 0, 2] = z
+    out = np.empty((n_steps + 1, 3, n))
+    out[0] = x, y, z
     angle = sqrt(alpha) * dw
     cos_a = np.cos(angle)
     sin_a = np.sin(angle)
     h = 0.5 * dt
+    rot = np.empty((3, n))
+    s = out[0]
     for k in range(n_steps):
-        xr, yr, zn = _drift_and_rotate(x, y, z, cos_a[k], sin_a[k], omega_s, alpha, dt, h)
-        norm = np.sqrt(xr * xr + yr * yr + zn * zn)
-        x = xr / norm
-        y = yr / norm
-        z = zn / norm
-        out[:, k + 1, 0] = x
-        out[:, k + 1, 1] = y
-        out[:, k + 1, 2] = z
+        k1 = np.array(bloch_drift(*s, omega_s, alpha))
+        k2 = np.array(bloch_drift(*(s + h * k1), omega_s, alpha))
+        k3 = np.array(bloch_drift(*(s + h * k2), omega_s, alpha))
+        k4 = np.array(bloch_drift(*(s + dt * k3), omega_s, alpha))
+        xn, yn, rot[2] = s + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        c, sn = cos_a[k], sin_a[k]
+        np.add(c * xn, sn * yn, out=rot[0])
+        np.subtract(c * yn, sn * xn, out=rot[1])
+        sq = rot * rot
+        s = np.divide(rot, np.sqrt(sq[0] + sq[1] + sq[2]), out=out[k + 1])
     return out
 
 

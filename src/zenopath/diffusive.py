@@ -36,7 +36,7 @@ from .errors import NoZenoRegime, StepTooLarge, WeakCouplingWarning
 from .measurement import BlochState
 
 #: Time steps per block of the batched ensemble; a block of n trajectories
-#: holds about 130 n _BLOCK_STEPS bytes (notes/decisions.md, section 6).
+#: holds about 100 n _BLOCK_STEPS bytes (notes/decisions.md, section 6).
 _BLOCK_STEPS = 512
 
 
@@ -322,8 +322,9 @@ def ensemble_stats(
     decay = np.zeros(n)  # each trajectory's -log weight at the block's first row
     for start in range(0, n_steps, _BLOCK_STEPS):
         dw = np.array([next(d) for d in draws]).T
-        paths = _kernels.diffusive_walk_batch(x, y, z, params.omega_s, params.alpha, dt, dw)
-        x, y, z = paths[:, -1].T
+        block = _kernels.diffusive_walk_batch(x, y, z, params.omega_s, params.alpha, dt, dw)
+        x, y, z = block[-1]
+        paths = block.transpose(2, 0, 1)  # (n, steps + 1, 3), a view
         lw = survival_log_weight(paths[:, :, 2], params.alpha, dt, decay)
         decay = -lw[:, -1]
         # the first row of a later block is the last row of the one before

@@ -24,6 +24,7 @@ cos(Omega_s dt) I - i sin(Omega_s dt) sigma_x, so Omega_s dt = pi/2 gives
 
 import math
 from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -184,10 +185,20 @@ def density_from_bloch(b: BlochState) -> DensityMatrix:
     )
 
 
-def drift_rhs(b: BlochState, omega_s: float, lam: float):
+class BlochPoint(Protocol):
+    """Bloch coordinates x, y, z; an integrator's stage point may lie just off the sphere."""
+
+    x: float
+    y: float
+    z: float
+
+
+def drift_rhs(b: BlochPoint, omega_s: float, lam: float):
     """Deterministic post-selected Bloch drift (the dt -> 0 limit of one step):
-    :func:`_kernels.bloch_drift` at alpha = 4 omega_s lam without rotation."""
-    return _kernels.bloch_drift(b.x, b.y, b.z, omega_s, 4.0 * omega_s * lam, 0.0)
+    :func:`_kernels.bloch_drift` at alpha = 4 omega_s lam without rotation.
+    Reads only b.x, b.y and b.z: RK4 stage points, O(dt^2) off the sphere and
+    so rejected by :class:`BlochState`, can be passed as any such object."""
+    return _kernels.bloch_drift(b.x, b.y, b.z, omega_s, 4.0 * omega_s * lam)
 
 
 def mc_zeno_trajectory(

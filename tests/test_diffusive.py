@@ -28,7 +28,7 @@ from zenopath import (
     stochastic_hamiltonian,
     survival_log_weight,
 )
-from zenopath import diffusive
+from zenopath import _kernels, diffusive
 
 P1 = np.diag([0.0, 1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -361,10 +361,30 @@ def test_ensemble_batch_equals_per_seed_reference(monkeypatch, params, gaussian,
     b0, dt, t_end, n, seed = BlochState(0.0, 0.6, 0.8), 1e-3, 2.5, 4, 31
     stats = ensemble_stats(b0, params, dt, t_end, n, seed, gaussian=gaussian)
     mean, var = _ensemble_reference(b0, params, dt, t_end, n, seed, gaussian)
-    assert np.array_equal(stats.t, np.arange(2501) * dt)
-    assert np.array_equal(stats.mean, mean)
-    assert np.array_equal(stats.var, var)
+    # bytes, not np.array_equal, which takes -0.0 for 0.0
+    assert stats.t.tobytes() == (np.arange(2501) * dt).tobytes()
+    assert stats.mean.tobytes() == mean.tobytes()
+    assert stats.var.tobytes() == var.tobytes()
     assert np.min(stats.var) >= 0.0
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["binary", "gaussian"])
+@pytest.mark.parametrize("lam", [0.0, 1.5])
+def test_batch_kernel_columns_equal_scalar_walk_byte_for_byte(lam, gaussian):
+    # signed zeros included: the starts put -0.0 in x or y, at both poles
+    starts = [(0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, -1.0)]
+    omega_s, dt, n_steps = 0.5, 1e-3, 700
+    alpha = 4.0 * omega_s * lam
+    dw = np.array([
+        WienerStream(seed=60 + j, dt=dt, gaussian=gaussian).increments(n_steps)
+        for j in range(len(starts))
+    ]).T
+    x, y, z = (np.array(c) for c in zip(*starts))
+    block = _kernels.diffusive_walk_batch(x, y, z, omega_s, alpha, dt, dw)
+    assert block.shape == (n_steps + 1, 3, len(starts))
+    for j, start in enumerate(starts):
+        walk = _kernels.diffusive_walk(*start, omega_s, alpha, dt, dw[:, j])
+        assert block[:, :, j].tobytes() == walk.tobytes()
 
 
 @pytest.mark.parametrize("gaussian", [False, True])

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -232,3 +233,28 @@ def test_params_invariants():
         MeasurementParams(omega_s=-1.0, j_coupling=1.0, dt=0.1)
     with pytest.raises(ValueError):
         MeasurementParams(omega_s=0.5, j_coupling=1.0, dt=0.0)
+
+
+def test_drift_rhs_rk4_through_off_sphere_stage_points():
+    # RK4's stage points leave the sphere by O(dt^2): from the pole the first
+    # half-step has norm 1 + 1.25e-7, which BlochState rejects.  drift_rhs
+    # reads only x, y and z, so the stages go in as plain objects.
+    omega_s, lam, dt = 0.5, 1.5, 1e-3
+    h = 0.5 * dt
+
+    def rhs(x, y, z):
+        return drift_rhs(SimpleNamespace(x=x, y=y, z=z), omega_s, lam)
+
+    x, y, z = 0.0, 0.0, 1.0
+    k1x, k1y, k1z = rhs(x, y, z)
+    with pytest.raises(InvalidState):
+        BlochState(x + h * k1x, y + h * k1y, z + h * k1z)
+    for _ in range(40_000):  # to t = 40
+        k1x, k1y, k1z = rhs(x, y, z)
+        k2x, k2y, k2z = rhs(x + h * k1x, y + h * k1y, z + h * k1z)
+        k3x, k3y, k3z = rhs(x + h * k2x, y + h * k2y, z + h * k2z)
+        k4x, k4y, k4z = rhs(x + dt * k3x, y + dt * k3y, z + dt * k3z)
+        x = x + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+        y = y + dt * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+        z = z + dt * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
+    assert max(abs(x), abs(y + 0.666), abs(z - 0.745)) < 1e-3
