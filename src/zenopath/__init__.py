@@ -7,6 +7,7 @@ from .errors import (
     EpsilonTooLarge,
     IntegrandSingular,
     InvalidState,
+    NonFiniteState,
     NormalizationUnderflow,
     NoZenoRegime,
     SingularEndpoint,
@@ -65,6 +66,7 @@ from .diffusive import (
     ensemble_stats,
     integrate_mlp,
     mlp_fixed_point,
+    mlp_pieces,
     mlp_rhs,
     readout_constraint,
     sample_trajectory,

@@ -21,22 +21,28 @@ NUMBA_ENABLED = False
 STALL_SPEED = 1e-10
 
 
-def time_grid(dt, t_end):
-    """(n_steps, t) of a fixed-step run: max(1, round(t_end / dt)) steps and
-    the sample times k dt, k = 0 .. n_steps."""
+def step_count(dt, t_end):
+    """The max(1, round(t_end / dt)) steps of a fixed-step run."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
-    n_steps = max(1, round(t_end / dt))
+    return max(1, round(t_end / dt))
+
+
+def time_grid(dt, t_end):
+    """(n_steps, t) of a fixed-step run: :func:`step_count` steps and the
+    sample times k dt, k = 0 .. n_steps."""
+    n_steps = step_count(dt, t_end)
     return n_steps, np.arange(n_steps + 1) * dt
 
 
-def warn_if_stalled(min_speed):
-    """Warn the integrator's caller when a path's flow speed fell below STALL_SPEED."""
+def warn_if_stalled(min_speed, stacklevel=3):
+    """Warn when a path's flow speed fell below STALL_SPEED; the default
+    stacklevel names the caller of the function that calls this one."""
     if min_speed < STALL_SPEED:
         warnings.warn(f"flow speed fell to {min_speed:.3e}; path effectively stalled",
-                      StalledAtFixedPoint, stacklevel=3)
+                      StalledAtFixedPoint, stacklevel=stacklevel)
 
 
 def zeno_walk(x, y, z, omega_s, j_coupling, dt, n_steps, trace_floor):

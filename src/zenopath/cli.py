@@ -6,7 +6,9 @@ holding the fully resolved configuration; re-running with ``--config
 significant digits (``.17g``), JSON with Python's shortest round-trip
 ``repr``; both read back to the identical float.  Exit codes: 0 success, 2
 invalid configuration or an unwritable output path, 3 numerical failure (the
-message names the underlying error).
+message names the underlying error; a table that fails part way through, such
+as a most-likely path that leaves the floating-point range, is removed and no
+sidecar is written).
 """
 
 import argparse
@@ -37,7 +39,7 @@ from .diffusive import (
     ExtendedState,
     WienerStream,
     ensemble_stats,
-    integrate_mlp,
+    mlp_pieces,
     sample_trajectory,
 )
 
@@ -49,12 +51,15 @@ _CSV_FLOAT = "%.17g"
 def _write_table(path: Path, columns, rows, fmt: str) -> int:
     """Write the table and return its number of rows.
 
-    ``rows`` is a 2-d float array, or a short list of row tuples for the
-    tables with string cells.  Rows are formatted a block at a time: CSV with
-    ``.17g`` floats and ``csv.writer``'s row end ``\\r\\n``, JSON in the layout
-    of ``json.dump(indent=1)`` with ``repr`` floats.
+    ``rows`` is a 2-d float array, an iterable of 2-d float arrays (blocks of
+    consecutive rows, consumed once), or a short list of row tuples for the
+    tables with string cells.  Rows are formatted a block of at most
+    ``_BLOCK_ROWS`` at a time: CSV with ``.17g`` floats and ``csv.writer``'s
+    row end ``\\r\\n``, JSON in the layout of ``json.dump(indent=1)`` with
+    ``repr`` floats.
     """
-    cell = _CSV_FLOAT if fmt == "csv" and isinstance(rows, np.ndarray) else "%s"
+    cell = _CSV_FLOAT if fmt == "csv" and not isinstance(rows, list) else "%s"
+    n_rows = 0
     with open(path, "w", newline="") as fh:
         if fmt == "csv":
             fh.write(",".join(columns) + "\r\n")
@@ -67,27 +72,29 @@ def _write_table(path: Path, columns, rows, fmt: str) -> int:
         for k, cells in _cell_blocks(rows, fmt):
             fh.write(lead + sep.join([row] * k) % tuple(cells))
             lead = sep
+            n_rows += k
         if fmt == "json":
-            fh.write("\n ]\n}\n" if len(rows) else "]\n}\n")
-    return len(rows)
+            fh.write("\n ]\n}\n" if n_rows else "]\n}\n")
+    return n_rows
 
 
 def _cell_blocks(rows, fmt: str):
     """(row count, flat cell values) for each block of rows."""
-    if not isinstance(rows, np.ndarray):
+    if isinstance(rows, list):
         if rows:  # string-cell tables: one block, every cell formatted here
             yield len(rows), [
                 json.dumps(v) if fmt == "json" else v if isinstance(v, str) else _CSV_FLOAT % v
                 for r in rows for v in r
             ]
         return
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        cells = block.ravel().tolist()
-        if fmt == "json":
-            for i in np.flatnonzero(~np.isfinite(block.ravel())):
-                cells[i] = json.dumps(cells[i])  # NaN, Infinity, -Infinity
-        yield len(block), cells
+    for table in (rows,) if isinstance(rows, np.ndarray) else rows:
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            cells = block.ravel().tolist()
+            if fmt == "json":
+                for i in np.flatnonzero(~np.isfinite(block.ravel())):
+                    cells[i] = json.dumps(cells[i])  # NaN, Infinity, -Infinity
+            yield len(block), cells
 
 
 def _write_sidecar(path: Path, command: str, resolved: dict):
@@ -224,12 +231,11 @@ def _cmd_trajectory(args):
 def _cmd_mlp(args):
     params = _diffusive_params(args)
     s0 = ExtendedState(args.x0, args.y0, args.z0, args.px0, args.py0, args.pz0)
-    traj = integrate_mlp(s0, params, args.dt, args.t_end)
-    h = traj.hamiltonian(params)
+    pieces = mlp_pieces(s0, params, args.dt, args.t_end, _BLOCK_ROWS)
     return [
         "time_ns", "x", "y", "z", "p_x", "p_y", "p_z", "readout",
         "stochastic_hamiltonian",
-    ], np.column_stack((traj.t, traj.states, traj.readout, h))
+    ], (np.column_stack((p.t, p.states, p.readout, p.hamiltonian(params))) for p in pieces)
 
 
 def _cmd_ensemble(args):
@@ -442,6 +448,10 @@ def main(argv=None) -> int:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         n_rows = _write_table(out_path, columns, rows, args.format)
         _write_sidecar(out_path, args.command, resolved)
+    except ZenoPathError as exc:  # raised by a table streamed in blocks: drop its rows so far
+        out_path.unlink(missing_ok=True)
+        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"error[output]: {exc}", file=sys.stderr)
         return 2

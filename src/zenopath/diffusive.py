@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import NoZenoRegime, StepTooLarge, WeakCouplingWarning
+from .errors import NonFiniteState, NoZenoRegime, StepTooLarge, WeakCouplingWarning
 from .measurement import BlochState
 
 #: Time steps per block of the batched ensemble; a block of n trajectories
@@ -117,7 +117,12 @@ class WienerStream:
 
 def readout_constraint(s: ExtendedState, params: DiffusiveParams) -> float:
     """Extremal readout r = sqrt(alpha tau) (y p_x - x p_y)."""
-    return math.sqrt(params.alpha * params.tau) * (s.y * s.p_x - s.x * s.p_y)
+    return _readout(s.x, s.y, s.p_x, s.p_y, params)
+
+
+def _readout(x, y, px, py, params):
+    """:func:`readout_constraint` on coordinates, for scalars and arrays."""
+    return math.sqrt(params.alpha * params.tau) * (y * px - x * py)
 
 
 def sme_rhs(b: BlochState, r: float, params: DiffusiveParams):
@@ -224,15 +229,64 @@ def integrate_mlp(
     dt: float,
     t_end: float,
 ) -> MLPTrajectory:
-    """RK4 integration of the extremal equations from s0; warns if it stalls."""
-    n_steps, t = _kernels.time_grid(dt, t_end)
-    states, min_speed = _kernels.mlp_rk4(
-        s0.as_array(), params.omega_s, params.alpha, dt, n_steps
-    )
-    _kernels.warn_if_stalled(min_speed)
-    x, y, z, px, py, pz = states.T
-    readout = math.sqrt(params.alpha * params.tau) * (y * px - x * py)
-    return MLPTrajectory(t=t, states=states, readout=readout)
+    """RK4 integration of the extremal equations from s0: :func:`mlp_pieces`
+    as a single piece, with its checks and its stall warning."""
+    n_steps = _kernels.step_count(dt, t_end)
+    (traj,) = _mlp_pieces(s0.as_array(), params, dt, n_steps, n_steps + 1, stacklevel=4)
+    return traj
+
+
+def mlp_pieces(
+    s0: ExtendedState,
+    params: DiffusiveParams,
+    dt: float,
+    t_end: float,
+    rows: int,
+):
+    """The most-likely path from s0 as consecutive :class:`MLPTrajectory`
+    pieces of ``rows`` rows (the last one may be shorter).
+
+    Concatenated, the pieces equal :func:`integrate_mlp` bit for bit: each
+    piece restarts the RK4 kernel from the last row of the one before, which
+    holds the state exactly, and its ``t`` is the global k dt.  Only one piece
+    is held at a time (notes/decisions.md, section 9).  dt, t_end and rows are
+    checked on the call.  Raises NonFiniteState at the first piece that holds
+    an inf or nan, naming its time; warns once, after the last piece, if the
+    path stalled.
+    """
+    n_steps = _kernels.step_count(dt, t_end)
+    if rows < 1:
+        raise ValueError("rows must be >= 1")
+    return _mlp_pieces(s0.as_array(), params, dt, n_steps, rows, stacklevel=3)
+
+
+def _mlp_pieces(s, params, dt, n_steps, rows, stacklevel):
+    min_speed = math.inf
+    for start in range(0, n_steps + 1, rows):
+        stop = min(start + rows, n_steps + 1)
+        skip = 1 if start else 0  # a later piece restarts from the row before it
+        path, speed = _kernels.mlp_rk4(
+            s, params.omega_s, params.alpha, dt, stop - start - 1 + skip
+        )
+        min_speed = min(min_speed, speed)
+        s, states = path[-1], path[skip:]
+        t = np.arange(start, stop) * dt
+        _check_finite(t, states)
+        x, y, _, px, py, _ = states.T
+        readout = _readout(x, y, px, py, params)
+        _check_finite(t, readout)
+        yield MLPTrajectory(t=t, states=states, readout=readout)
+    _kernels.warn_if_stalled(min_speed, stacklevel)
+
+
+def _check_finite(t, values):
+    """Raise NonFiniteState at the first time t[k] whose row of values is not finite."""
+    bad = ~np.isfinite(values.reshape(len(t), -1)).all(axis=1)
+    if bad.any():
+        raise NonFiniteState(
+            f"the most-likely path left the floating-point range at t = "
+            f"{t[np.argmax(bad)]:.6g}; a smaller dt keeps the RK4 step stable"
+        )
 
 
 def mlp_fixed_point(params: DiffusiveParams) -> ExtendedState:

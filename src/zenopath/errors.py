@@ -41,6 +41,10 @@ class StepTooLarge(ZenoPathError):
     """Stochastic integration step dt exceeds tau/10."""
 
 
+class NonFiniteState(ZenoPathError):
+    """An integrated path left the floating-point range: a value became inf or nan."""
+
+
 class StalledAtFixedPoint(UserWarning):
     """Informational: an integrated path entered a region where the flow nearly vanishes."""
 

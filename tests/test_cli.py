@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,10 +184,15 @@ def test_table_writer_matches_csv_and_json_modules(tmp_path, monkeypatch, fmt):
     table = np.linspace(-3.0, 3.0, 30).reshape(10, 3) ** 3 / 7.0
     table[2, 1], table[7, 0], table[9, 2] = math.nan, math.inf, -math.inf
     short = [("P1", 0.1, -0.0), ("P2", 1e-300, 2.5)]
+    # the same table as an iterator of blocks smaller than, equal to and larger
+    # than the writer's block
+    streamed = [iter(np.split(table, range(size, 10, size))) for size in (1, 3, 4, 10)]
     for columns, rows, plain in (
         (["a", "b", "c"], table, table.tolist()),
+        *((["a", "b", "c"], blocks, table.tolist()) for blocks in streamed),
         (["point", "x", "y"], short, short),
         (["a", "b", "c"], np.empty((0, 3)), []),
+        (["a", "b", "c"], iter(()), []),
     ):
         path = tmp_path / f"t.{fmt}"
         assert cli._write_table(path, columns, rows, fmt) == len(plain)
@@ -298,3 +304,36 @@ def test_config_format_outside_choices_exits_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("error[config]")
     assert "format" in err and "'xml'" in err and "csv, json" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+@pytest.mark.parametrize("flag, value", [("--dt", "0"), ("--t-end", "-1")])
+def test_mlp_invalid_step_exits_2_before_writing(tmp_path, capsys, flag, value):
+    out = tmp_path / "m.csv"
+    assert main(["mlp", flag, value, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error[invalid-config]")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_mlp_leaving_the_float_range_exits_3_without_a_table(tmp_path, capsys, fmt):
+    # the default step (dt 1e-3, t-end 10) is RK4-unstable from t = 8.766 on;
+    # the rows written before that are removed and no sidecar is written
+    out = tmp_path / f"m.{fmt}"
+    assert main(["mlp", "--format", fmt, "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[NonFiniteState]") and "t = 8.766" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mlp_memory_does_not_grow_with_the_path(tmp_path):
+    # the table flows in blocks: 6x the steps may not take 1.5x the peak memory
+    peaks = {}
+    for t_end in ("6", "1"):  # the longer run first, so one-off allocations count against it
+        tracemalloc.start()
+        try:
+            assert main(["mlp", "--dt", "1e-4", "--t-end", t_end,
+                         "-o", str(tmp_path / f"m{t_end}.csv")]) == 0
+            peaks[t_end] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["6"] < 1.5 * peaks["1"], peaks

@@ -20,7 +20,9 @@ from zenopath import (
     ensemble_stats,
     integrate_mlp,
     mlp_fixed_point,
+    mlp_pieces,
     mlp_rhs,
+    NonFiniteState,
     PhaseParams,
     readout_constraint,
     sample_trajectory,
@@ -241,7 +243,7 @@ def test_mlp_readout_matches_constraint():
     traj = integrate_mlp(GENERIC_IC, PARAMS_15, dt=1e-3, t_end=2.0)
     for i in (0, 500, 2000):
         s = traj.state(i)
-        assert traj.readout[i] == pytest.approx(readout_constraint(s, PARAMS_15), abs=1e-12)
+        assert traj.readout[i] == readout_constraint(s, PARAMS_15)
 
 
 def test_mlp_zeno_coordinates_freeze():
@@ -437,6 +439,32 @@ def test_params_validation():
 def test_integrate_mlp_rejects_nonpositive_dt_or_t_end(dt, t_end):
     with pytest.raises(ValueError, match="must be positive"):
         integrate_mlp(GENERIC_IC, PARAMS_15, dt, t_end)
+    with pytest.raises(ValueError, match="must be positive"):
+        mlp_pieces(GENERIC_IC, PARAMS_15, dt, t_end, 4)  # on the call, not on next()
+
+
+@pytest.mark.parametrize("t_end, rows", [
+    (0.5, 1), (0.5, 7), (0.5, 1024), (0.5, 501), (2.047, 1024),
+])
+def test_mlp_pieces_concatenate_to_integrate_mlp(t_end, rows):
+    # 501 rows make one piece; 2.047 ends on a whole piece, 2048 rows = 2 x 1024
+    whole = integrate_mlp(GENERIC_IC, PARAMS_15, 1e-3, t_end)
+    pieces = list(mlp_pieces(GENERIC_IC, PARAMS_15, 1e-3, t_end, rows))
+    assert [len(p.t) for p in pieces[:-1]] == [rows] * (len(pieces) - 1)
+    assert 1 <= len(pieces[-1].t) <= rows
+    for name in ("t", "states", "readout"):
+        joined = np.concatenate([getattr(p, name) for p in pieces])
+        assert joined.tobytes() == getattr(whole, name).tobytes()
+
+
+def test_mlp_leaving_the_float_range_raises_at_its_time():
+    # dt 1e-3 is RK4-unstable on this path once the momenta have grown
+    with pytest.raises(NonFiniteState, match="t = 8.766"):
+        integrate_mlp(GENERIC_IC, PARAMS_15, 1e-3, 10.0)
+    pieces = mlp_pieces(GENERIC_IC, PARAMS_15, 1e-3, 10.0, 1024)
+    assert [len(next(pieces).t) for _ in range(8)] == [1024] * 8  # rows up to 8.191
+    with pytest.raises(NonFiniteState, match="t = 8.766"):
+        next(pieces)
 
 
 def test_mlp_stalls_at_its_fixed_point():
