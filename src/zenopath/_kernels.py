@@ -9,24 +9,27 @@ times as much per operation and gives the same IEEE results
 """
 
 import warnings
-from math import cos, sin, sqrt
+from math import cos, isfinite, sin, sqrt
 
 import numpy as np
 
-from .errors import StalledAtFixedPoint
+from .errors import NormalizationUnderflow, StalledAtFixedPoint
 
 #: There is no compiled kernel path; run records report this constant.
 NUMBA_ENABLED = False
 #: A path whose flow speed falls below this has stalled at a fixed point.
 STALL_SPEED = 1e-10
+#: Post-selection trace denominators at or below this are treated as state
+#: annihilation (e.g. a projective J*dt = pi/2 readout acting on |1>).
+TRACE_FLOOR = 1e-15
 
 
 def step_count(dt, t_end):
     """The max(1, round(t_end / dt)) steps of a fixed-step run."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    if not (dt > 0.0 and isfinite(dt)):
+        raise ValueError("dt must be positive and finite")
+    if not (t_end > 0.0 and isfinite(t_end)):
+        raise ValueError("t_end must be positive and finite")
     return max(1, round(t_end / dt))
 
 
@@ -45,13 +48,13 @@ def warn_if_stalled(min_speed, stacklevel=3):
                       StalledAtFixedPoint, stacklevel=stacklevel)
 
 
-def zeno_walk(x, y, z, omega_s, j_coupling, dt, n_steps, trace_floor):
+def zeno_walk(x, y, z, omega_s, j_coupling, dt, n_steps):
     """Iterate the post-selected measurement map on Bloch coordinates.
 
     One step = unitary rotation about the x-axis by 2*omega_s*dt followed by
     the r=0 measurement back-action and renormalization.  Returns the path
-    (n_steps+1, 3) and the index of the step where the normalization trace
-    underflowed (-1 if it never did; the path is zero-filled past that point).
+    (n_steps+1, 3); raises NormalizationUnderflow at the first step whose
+    normalization trace is at or below TRACE_FLOOR.
     """
     out = np.empty((n_steps + 1, 3))
     out[0] = x, y, z
@@ -66,16 +69,15 @@ def zeno_walk(x, y, z, omega_s, j_coupling, dt, n_steps, trace_floor):
         z1 = z * crot + y * srot
         # measurement back-action: rho00 -> rho00, rho11 -> cj^2 rho11
         trace = 0.5 * ((1.0 + z1) + cj2 * (1.0 - z1))
-        if trace <= trace_floor:
-            out[k + 1:] = 0.0
-            return out, k
+        if trace <= TRACE_FLOOR:
+            raise NormalizationUnderflow(f"post-selection trace underflow at step {k}")
         x = cj * x / trace
         y = cj * y1 / trace
         z = ((1.0 + z1) - cj2 * (1.0 - z1)) / (2.0 * trace)
         out[k + 1, 0] = x
         out[k + 1, 1] = y
         out[k + 1, 2] = z
-    return out, -1
+    return out
 
 
 def nullcline_factor(u, lam, theta_ref, anchored):

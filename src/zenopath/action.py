@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     EpsilonTooLarge,
     IntegrandSingular,
@@ -46,7 +47,7 @@ def _check_lambda(lam: float):
 
 
 def _integrand(theta: float, lam: float) -> float:
-    return lam * (1.0 - math.cos(theta)) / (1.0 + lam * math.sin(theta))
+    return lam * (1.0 - math.cos(theta)) / _kernels.nullcline_factor(theta, lam, -0.0, False)
 
 
 def _branch(theta: float):
@@ -82,17 +83,17 @@ def _antiderivative(theta: float, lam: float) -> float:
         )
     s = math.sqrt(lam * lam - 1.0)
     return -(lam / s) * math.log(abs((s + lam + t) / (s - lam - t))) - math.log(
-        abs(1.0 + lam * math.sin(u))
+        abs(_kernels.nullcline_factor(u, lam, -0.0, False))
     )
 
 
-def _nullcline_in_interval(a: float, b: float, lam: float, margin: float = 0.0) -> bool:
-    """True if a nullcline of 1 + lam sin(theta) lies within (a, b) +- margin."""
+def _nullcline_in_interval(a: float, b: float, lam: float) -> bool:
+    """True if a nullcline of 1 + lam sin(theta) lies within (a, b)."""
     lo, hi = (a, b) if a <= b else (b, a)
     t1, t2 = critical_angles(lam)
     for base in (t1, t2):
-        k_min = math.ceil((lo - margin - base) / math.tau)
-        if base + math.tau * k_min < hi + margin:
+        k_min = math.ceil((lo - base) / math.tau)
+        if base + math.tau * k_min < hi:
             return True
     return False
 
@@ -178,7 +179,7 @@ def _segment_time(a: float, b: float, lam: float, omega_s: float) -> float:
     from scipy import integrate
 
     value, _ = integrate.quad(
-        lambda th: 1.0 / abs(2.0 * omega_s * (1.0 + lam * math.sin(th))),
+        lambda th: 1.0 / abs(2.0 * omega_s * _kernels.nullcline_factor(th, lam, -0.0, False)),
         a, b, epsabs=1e-12, epsrel=1e-10, limit=500,
     )
     return abs(value)

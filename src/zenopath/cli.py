@@ -5,9 +5,10 @@ holding the fully resolved configuration; re-running with ``--config
 <sidecar>`` reproduces the output byte for byte.  CSV writes floats with 17
 significant digits (``.17g``), JSON with Python's shortest round-trip
 ``repr``; both read back to the identical float.  Exit codes: 0 success, 2
-invalid configuration or an unwritable output path, 3 numerical failure (the
-message names the underlying error; a table that fails part way through, such
-as a most-likely path that leaves the floating-point range, is removed and no
+invalid configuration (a non-finite value or a config value of the wrong kind
+included) or an unwritable output path, 3 numerical failure (the message
+names the underlying error; a table that fails part way through, such as a
+most-likely path that leaves the floating-point range, is removed and no
 sidecar is written).
 """
 
@@ -112,12 +113,9 @@ def _write_sidecar(path: Path, command: str, resolved: dict):
 def _load_config(path: str) -> dict:
     """Read a config file: JSON (including run sidecars) or key = value lines."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         data = json.loads(text)
-        if "config" in data and isinstance(data["config"], dict):
-            return data["config"]
-        return data
+        return data["config"] if isinstance(data.get("config"), dict) else data
     out = {}
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -135,12 +133,57 @@ def _load_config(path: str) -> dict:
     return out
 
 
+def _config_defaults(path: str, command: argparse.ArgumentParser) -> dict:
+    """The values of config file ``path`` for subcommand ``command``; raises
+    ValueError naming its unknown keys or the first value it rejects."""
+    options = {a.dest: a for a in command._actions
+               if a.dest != "config" and a.default is not argparse.SUPPRESS}
+    values = _load_config(path)
+    unknown = sorted(set(values) - set(options))
+    if unknown:
+        raise ValueError(f"unknown keys for {command.prog}: {', '.join(unknown)}")
+    defaults = {}
+    for key, value in values.items():
+        try:
+            defaults[key] = _convert(options[key], value)
+        except (ValueError, argparse.ArgumentError) as exc:
+            raise ValueError(f"{key} = {value!r}: {exc}") from None
+    return defaults
+
+
+def _convert(a: argparse.Action, value):
+    """A config value of option ``a``, converted as argparse converts the
+    option's flag text: by its type (each element of a grid), against its
+    choices, then by its action.  A null leaves an option whose default is
+    None unset, and a switch such as --gaussian takes only true or false."""
+    if value is None and a.default is None or a.nargs == 0 and type(value) is bool:
+        return value
+    if a.nargs == 0:
+        raise ValueError("expected true or false")
+    if a.nargs and (type(value) is not list or len(value) != a.nargs):
+        raise ValueError(f"expected a list of {a.nargs} values")
+    items = value if a.nargs else [value]
+    if any(type(v) not in (str, int, float) for v in items):
+        raise ValueError("expected numbers or strings")
+    # the flag text a value stands for: str() of a float reads back to it exactly
+    converted = [a.type(str(v)) for v in items]
+    if a.choices is not None and any(v not in a.choices for v in converted):
+        raise ValueError(f"not one of {', '.join(map(str, a.choices))}")
+    namespace = argparse.Namespace()
+    a(None, namespace, converted if a.nargs else converted[0])
+    return getattr(namespace, a.dest)
+
+
 def _grid(spec, name: str) -> np.ndarray:
     start, stop, count = spec
-    count = int(count)
     if count < 2:
         raise ValueError(f"{name}: grid count must be >= 2")
-    return np.linspace(float(start), float(stop), count)
+    return np.linspace(start, stop, count)
+
+
+def _lambdas(args):
+    """The --lambda-grid sweep, or the one --lambda when no grid is given."""
+    return _grid(args.lam_grid, "--lambda-grid") if args.lam_grid else [args.lam]
 
 
 def _diffusive_params(args) -> DiffusiveParams:
@@ -195,18 +238,16 @@ def _cmd_action(args):
 
 
 def _cmd_transition_time(args):
-    lams = _grid(args.lam_grid, "--lambda-grid") if args.lam_grid else [args.lam]
     rows = []
-    for lam in lams:
+    for lam in _lambdas(args):
         t = transition_time_sub_zeno(float(lam), args.omega_s)
         rows.append((float(lam), args.omega_s, t, 1.0 / t))
     return ["lambda", "omega_s_ghz", "time_ns", "frequency_ghz"], np.array(rows, dtype=float)
 
 
 def _cmd_zeno_frequencies(args):
-    lams = _grid(args.lam_grid, "--lambda-grid") if args.lam_grid else [args.lam]
     rows = []
-    for lam in lams:
+    for lam in _lambdas(args):
         tt = zeno_frequencies(float(lam), args.omega_s, args.epsilon)
         rows.append((float(lam), args.epsilon, tt.omega1, tt.omega12, tt.omega2))
     return [
@@ -249,56 +290,92 @@ def _cmd_ensemble(args):
     ], np.column_stack((stats.t, stats.mean, stats.var, stats.n_eff))
 
 
-def _add_output_args(p: argparse.ArgumentParser, default_name: str):
-    p.add_argument("--output", "-o", default=None,
-                   help=f"output file (default {default_name}.<format> in "
-                        "$ZENOPATH_OUTDIR or the working directory)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="table format (default csv)")
-    p.add_argument("--config", default=None,
-                   help="config file: 'key = value' lines or a JSON sidecar; "
-                        "explicit flags override file values")
+def finite(text) -> float:
+    """The type of every real-valued option: a finite float.  argparse names
+    the type in its message, as in "invalid finite value: 'nan'"."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
-def _add_diffusive_args(p: argparse.ArgumentParser, t_end: float):
-    p.add_argument("--omega-s", dest="omega_s", type=float, default=0.5,
-                   help="drive amplitude Omega_s in GHz (Rabi frequency 2*Omega_s)")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--lambda", dest="lam", type=float, default=1.5,
-                       help="Zeno ratio alpha/(4 Omega_s)")
-    group.add_argument("--alpha", type=float, default=None,
-                       help="measurement rate in GHz (overrides --lambda)")
-    p.add_argument("--tau", type=float, default=100.0,
-                   help="detector characteristic time in ns")
-    p.add_argument("--dt", type=float, default=1e-3, help="time step in ns")
-    p.add_argument("--t-end", dest="t_end", type=float, default=t_end,
-                   help="total integration time in ns")
+class _Grid(argparse.Action):
+    """START STOP COUNT of an evenly spaced grid; COUNT is kept as an int."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        start, stop, count = values
+        if count != int(count):
+            raise argparse.ArgumentError(self, f"COUNT {count!r} is not a whole number")
+        setattr(namespace, self.dest, [start, stop, int(count)])
 
 
-_COLUMN_DOCS = {
-    "portrait": "energy: curve label E; theta_rad: angle; p_theta: conjugate momentum",
-    "critical-points": "two rows (P1, P2); exponents in GHz are the contraction/"
-                       "expansion rates of the theta and p_theta axes",
-    "action": "action: dimensionless stochastic action (hbar = 1)",
-    "transition-time": "time_ns: 0 -> -pi transition time; frequency_ghz: its inverse",
-    "zeno-frequencies": "omega1/omega12/omega2: inverse times of the three segments "
-                        "0->theta1+eps, theta2+eps->theta1-eps, theta2-eps->-pi",
-    "density": "probability_density: normalized so the trapezoid integral over z_f is 1",
-    "trajectory": "readout: record r_k = sqrt(tau) dW_k/dt for the step starting at "
-                  "time_ns (on the final row, the seeded stream's next step)",
-    "mlp": "readout: extremal record; stochastic_hamiltonian: conserved generator",
-    "ensemble": "mean/var: per-time mean and population variance over n "
-                "trajectories seeded base_seed+k, each weighted by the probability "
-                "exp(-int alpha (1 - z)/2 dt) that its record held no click so far; "
-                "n_eff: effective number of trajectories (sum w)^2 / sum w^2, so the "
-                "standard error of a mean is sqrt(var / n_eff)",
+_REAL = {"type": finite}
+_GRID = {"nargs": 3, "type": finite, "action": _Grid, "metavar": ("START", "STOP", "COUNT")}
+
+#: The add_argument keywords of each option, declared once; the subcommands
+#: that take an option give its default.  Options not named are finite floats.
+_OPTIONS = {
+    "--lambda": {**_REAL, "dest": "lam", "help": "Zeno ratio alpha/(4 Omega_s)"},
+    "--lambda-grid": {**_GRID, "dest": "lam_grid", "help": "sweep lambda over this grid"},
+    "--alpha": {**_REAL, "help": "measurement rate in GHz (overrides --lambda)"},
+    "--omega-s": {**_REAL, "help": "drive amplitude Omega_s in GHz (Rabi frequency 2*Omega_s)"},
+    "--tau": {**_REAL, "help": "detector characteristic time in ns"},
+    "--dt": {**_REAL, "help": "time step in ns"},
+    "--t-end": {**_REAL, "help": "total integration time in ns"},
+    "--theta-grid": _GRID,
+    "--energy-grid": _GRID,
+    "--zf-grid": _GRID,
+    "--method": {"type": str, "choices": ("closed", "quadrature", "both")},
+    "--n": {"type": int},
+    "--seed": {"type": int, "help": "seed of the record (ensemble: trajectory k uses seed+k)"},
+    "--gaussian": {"action": "store_true",
+                   "help": "Gaussian Wiener increments instead of binary +-sqrt(dt)"},
 }
 
+_DIFFUSIVE = {"--omega-s": 0.5, "--lambda": 1.5, "--alpha": None, "--tau": 100.0, "--dt": 1e-3}
+_SAMPLER = {"--seed": 0, "--gaussian": False, "--x0": 0.0, "--y0": 0.0, "--z0": 1.0}
 
-def _subcommand(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, help=help, epilog=_COLUMN_DOCS[name])
-    p.set_defaults(handler=handler)
-    return p
+#: Each subcommand: its handler, its help, the notes on its columns that
+#: follow its options in --help, and the default of each option it takes.
+_SUBCOMMANDS = {
+    "portrait": (_cmd_portrait, "constant-energy curves p_theta(theta)",
+                 "energy: curve label E; theta_rad: angle; p_theta: conjugate momentum",
+                 {"--lambda": 0.5, "--theta-grid": (-3.14, 3.14, 629),
+                  "--energy-grid": (0.25, 2.0, 8)}),
+    "critical-points": (_cmd_critical_points, "saddle pair, exponents, separatrices",
+                        "two rows (P1, P2); exponents in GHz are the contraction/"
+                        "expansion rates of the theta and p_theta axes",
+                        {"--lambda": 1.5, "--omega-s": 0.5}),
+    "action": (_cmd_action, "stochastic action between two angles",
+               "action: dimensionless stochastic action (hbar = 1)",
+               {"--lambda": 0.5, "--theta-i": 0.0, "--theta-f": -math.pi, "--method": "both"}),
+    "transition-time": (_cmd_transition_time, "sub-Zeno 0 -> -pi transition time",
+                        "time_ns: 0 -> -pi transition time; frequency_ghz: its inverse",
+                        {"--lambda": 0.0, "--lambda-grid": None, "--omega-s": 0.5}),
+    "zeno-frequencies": (_cmd_zeno_frequencies, "segment frequencies for lambda > 1",
+                         "omega1/omega12/omega2: inverse times of the three segments "
+                         "0->theta1+eps, theta2+eps->theta1-eps, theta2-eps->-pi",
+                         {"--lambda": 1.5, "--lambda-grid": None, "--omega-s": 0.5,
+                          "--epsilon": 1e-3}),
+    "density": (_cmd_density, "most-likely final-state density over z_f",
+                "probability_density: normalized so the trapezoid integral over z_f is 1",
+                {"--lambda": 1.5, "--theta-i": 0.0, "--zf-grid": (-0.999, 0.999, 801)}),
+    "trajectory": (_cmd_trajectory, "sample one conditioned diffusive trajectory",
+                   "readout: record r_k = sqrt(tau) dW_k/dt for the step starting at "
+                   "time_ns (on the final row, the seeded stream's next step)",
+                   {**_DIFFUSIVE, "--t-end": 20.0, **_SAMPLER}),
+    "mlp": (_cmd_mlp, "integrate the most-likely-path equations",
+            "readout: extremal record; stochastic_hamiltonian: conserved generator",
+            {**_DIFFUSIVE, "--t-end": 10.0, "--x0": 0.0, "--y0": 0.4, "--z0": 0.916,
+             "--px0": 0.5, "--py0": 0.3, "--pz0": 0.2}),
+    "ensemble": (_cmd_ensemble, "survival-weighted mean/variance over seeded trajectories",
+                 "mean/var: per-time mean and population variance over n "
+                 "trajectories seeded base_seed+k, each weighted by the probability "
+                 "exp(-int alpha (1 - z)/2 dt) that its record held no click so far; "
+                 "n_eff: effective number of trajectories (sum w)^2 / sum w^2, so the "
+                 "standard error of a mean is sqrt(var / n_eff)",
+                 {**_DIFFUSIVE, "--t-end": 20.0, "--n": 100, **_SAMPLER}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,76 +387,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"zenopath {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _subcommand(sub, "portrait", _cmd_portrait, "constant-energy curves p_theta(theta)")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--theta-grid", nargs=3, default=(-3.14, 3.14, 629),
-                   metavar=("START", "STOP", "COUNT"))
-    p.add_argument("--energy-grid", nargs=3, default=(0.25, 2.0, 8),
-                   metavar=("START", "STOP", "COUNT"))
-
-    p = _subcommand(sub, "critical-points", _cmd_critical_points,
-                    "saddle pair, exponents, separatrices")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.5)
-    p.add_argument("--omega-s", dest="omega_s", type=float, default=0.5)
-
-    p = _subcommand(sub, "action", _cmd_action, "stochastic action between two angles")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--theta-i", dest="theta_i", type=float, default=0.0)
-    p.add_argument("--theta-f", dest="theta_f", type=float, default=-math.pi)
-    p.add_argument("--method", choices=("closed", "quadrature", "both"), default="both")
-
-    p = _subcommand(sub, "transition-time", _cmd_transition_time,
-                    "sub-Zeno 0 -> -pi transition time")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--lambda-grid", dest="lam_grid", nargs=3, default=None,
-                   metavar=("START", "STOP", "COUNT"))
-    p.add_argument("--omega-s", dest="omega_s", type=float, default=0.5)
-
-    p = _subcommand(sub, "zeno-frequencies", _cmd_zeno_frequencies,
-                    "segment frequencies for lambda > 1")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.5)
-    p.add_argument("--lambda-grid", dest="lam_grid", nargs=3, default=None,
-                   metavar=("START", "STOP", "COUNT"))
-    p.add_argument("--omega-s", dest="omega_s", type=float, default=0.5)
-    p.add_argument("--epsilon", type=float, default=1e-3)
-
-    p = _subcommand(sub, "density", _cmd_density, "most-likely final-state density over z_f")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.5)
-    p.add_argument("--theta-i", dest="theta_i", type=float, default=0.0)
-    p.add_argument("--zf-grid", nargs=3, default=(-0.999, 0.999, 801),
-                   metavar=("START", "STOP", "COUNT"))
-
-    p = _subcommand(sub, "trajectory", _cmd_trajectory,
-                    "sample one conditioned diffusive trajectory")
-    _add_diffusive_args(p, t_end=20.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gaussian", action="store_true",
-                   help="Gaussian Wiener increments instead of binary +-sqrt(dt)")
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--y0", type=float, default=0.0)
-    p.add_argument("--z0", type=float, default=1.0)
-
-    p = _subcommand(sub, "mlp", _cmd_mlp, "integrate the most-likely-path equations")
-    _add_diffusive_args(p, t_end=10.0)
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--y0", type=float, default=0.4)
-    p.add_argument("--z0", type=float, default=0.916)
-    p.add_argument("--px0", type=float, default=0.5)
-    p.add_argument("--py0", type=float, default=0.3)
-    p.add_argument("--pz0", type=float, default=0.2)
-
-    p = _subcommand(sub, "ensemble", _cmd_ensemble,
-                    "survival-weighted mean/variance over seeded trajectories")
-    _add_diffusive_args(p, t_end=20.0)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0, help="base seed; trajectory k uses seed+k")
-    p.add_argument("--gaussian", action="store_true")
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--y0", type=float, default=0.0)
-    p.add_argument("--z0", type=float, default=1.0)
-
-    for name, p in sub.choices.items():
-        _add_output_args(p, name.replace("-", "_"))
+    for name, (handler, help, columns, defaults) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help, epilog=columns)
+        p.set_defaults(handler=handler)
+        # --lambda and --alpha set the same rate: a run gives at most one
+        rate = p.add_mutually_exclusive_group() if "--alpha" in defaults else p
+        for flag, default in defaults.items():
+            owner = rate if flag in ("--lambda", "--alpha") else p
+            owner.add_argument(flag, default=default, **_OPTIONS.get(flag, _REAL))
+        p.add_argument("--output", "-o", type=str,
+                       help=f"output file (default {name.replace('-', '_')}.<format> in "
+                            "$ZENOPATH_OUTDIR or the working directory)")
+        p.add_argument("--format", type=str, choices=("csv", "json"), default="csv",
+                       help="table format (default csv)")
+        p.add_argument("--config", type=str,
+                       help="config file: 'key = value' lines or a JSON sidecar; "
+                            "explicit flags override file values")
     return parser
 
 
@@ -391,38 +414,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.config:
+        command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
         try:
-            overrides = _load_config(args.config)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error[config]: {exc}", file=sys.stderr)
+            defaults = _config_defaults(args.config, command)
+        except (OSError, ValueError) as exc:
+            print(f"error[config]: {args.config}: {exc}", file=sys.stderr)
             return 2
-        unknown = sorted(
-            k for k in overrides
-            if not hasattr(args, k) or k in ("handler", "command", "config")
-        )
-        if unknown:
-            print(f"error[config]: {args.config}: unknown keys for {args.command}: "
-                  f"{', '.join(unknown)}", file=sys.stderr)
-            return 2
-        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        command = sub.choices[args.command]
-        # a number gets its option's type, as argparse converts command-line text
-        for a in command._actions:
-            v = overrides.get(a.dest)
-            if a.type is not None and type(v) in (int, float):
-                try:
-                    overrides[a.dest] = a.type(str(v))
-                except ValueError:
-                    print(f"error[config]: {args.config}: {a.dest} = {v!r} is not a valid "
-                          f"{a.type.__name__}", file=sys.stderr)
-                    return 2
-            if (a.choices is not None and a.dest in overrides
-                    and overrides[a.dest] not in a.choices):
-                print(f"error[config]: {args.config}: {a.dest} = {overrides[a.dest]!r} is not "
-                      f"one of {', '.join(map(str, a.choices))}", file=sys.stderr)
-                return 2
         # file values become the subcommand's defaults, so explicit flags win
-        command.set_defaults(**overrides)
+        command.set_defaults(**defaults)
         args = parser.parse_args(argv)
 
     resolved = {

@@ -29,13 +29,10 @@ from typing import Protocol
 import numpy as np
 
 from . import _kernels
+from ._kernels import TRACE_FLOOR  # re-exported: the floor postselected_step applies
 from .errors import InvalidState, NormalizationUnderflow
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-#: Post-selection trace denominators at or below this are treated as state
-#: annihilation (e.g. a projective J*dt = pi/2 readout acting on |1>).
-TRACE_FLOOR = 1e-15
 
 _BLOCH_NORM_TOL = 1e-9
 _MATRIX_TOL = 1e-12
@@ -50,7 +47,7 @@ class BlochState:
     z: float
 
     def __post_init__(self):
-        if self.norm() > 1.0 + _BLOCH_NORM_TOL:
+        if not self.norm() <= 1.0 + _BLOCH_NORM_TOL:  # NaN fails this too
             raise InvalidState(
                 f"Bloch vector norm {self.norm():.12g} exceeds 1 beyond tolerance"
             )
@@ -213,12 +210,6 @@ def mc_zeno_trajectory(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    path, underflow_at = _kernels.zeno_walk(
-        b0.x, b0.y, b0.z, params.omega_s, params.j_coupling, params.dt,
-        n_steps, TRACE_FLOOR,
+    return _kernels.zeno_walk(
+        b0.x, b0.y, b0.z, params.omega_s, params.j_coupling, params.dt, n_steps
     )
-    if underflow_at >= 0:
-        raise NormalizationUnderflow(
-            f"post-selection trace underflow at step {underflow_at}"
-        )
-    return path

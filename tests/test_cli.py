@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import tracemalloc
@@ -325,15 +326,104 @@ def test_mlp_leaving_the_float_range_exits_3_without_a_table(tmp_path, capsys, f
     assert list(tmp_path.iterdir()) == []
 
 
-def test_mlp_memory_does_not_grow_with_the_path(tmp_path):
-    # the table flows in blocks: 6x the steps may not take 1.5x the peak memory
+def test_mlp_memory_does_not_grow_with_the_path(tmp_path, monkeypatch):
+    # the table flows in blocks: 6x the steps may not take 1.5x the peak memory.
+    # Blocks of 16 rows keep both runs many blocks long at a size that is quick
+    # to step under tracemalloc.
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 16)
     peaks = {}
-    for t_end in ("6", "1"):  # the longer run first, so one-off allocations count against it
+    for t_end in ("3", "0.5"):  # the longer run first, so one-off allocations count against it
         tracemalloc.start()
         try:
-            assert main(["mlp", "--dt", "1e-4", "--t-end", t_end,
+            assert main(["mlp", "--dt", "1e-3", "--t-end", t_end,
                          "-o", str(tmp_path / f"m{t_end}.csv")]) == 0
             peaks[t_end] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks["6"] < 1.5 * peaks["1"], peaks
+    assert peaks["3"] < 1.5 * peaks["0.5"], peaks
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        return exc.code
+
+
+@pytest.mark.parametrize("command, flags, config, prefix, names", [
+    ("trajectory", ["--x0", "nan"], None, "usage:", "--x0"),
+    ("ensemble", ["--t-end", "inf"], None, "usage:", "--t-end"),
+    ("portrait", ["--energy-grid", "0", "inf", "3"], None, "usage:", "--energy-grid"),
+    ("portrait", ["--energy-grid", "0.25", "2", "8.7"], None, "usage:", "COUNT 8.7"),
+    ("transition-time", [], "lam_grid = 3", "error[config]", "lam_grid"),
+    ("trajectory", [], 'gaussian = "no"', "error[config]", "gaussian"),
+    ("portrait", [], 'energy_grid = [0.25, 2, "x"]', "error[config]", "energy_grid"),
+    ("transition-time", [], "lam = abc", "error[config]", "lam = 'abc'"),
+])
+def test_bad_input_exits_2_with_a_named_error_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, command, flags, config, prefix, names):
+    monkeypatch.setenv("ZENOPATH_OUTDIR", str(tmp_path / "out"))
+    argv = [command, *flags]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and names in err
+    assert not (tmp_path / "out").exists()
+
+
+#: Non-default flags for each subcommand, with a grid where it takes one.
+ROUND_TRIPS = {
+    "portrait": ["--lambda", "0.7", "--theta-grid", "-3", "3", "31",
+                 "--energy-grid", "0.5", "1.5", "3"],
+    "critical-points": ["--lambda", "1.2", "--omega-s", "0.25"],
+    "action": ["--lambda", "0.3", "--theta-f", "-2", "--method", "closed"],
+    "transition-time": ["--lambda-grid", "0", "0.9", "4", "--omega-s", "0.4"],
+    "zeno-frequencies": ["--lambda-grid", "1.1", "2", "3", "--epsilon", "0.01"],
+    "density": ["--lambda", "0.5", "--theta-i", "0.2", "--zf-grid", "-0.9", "0.9", "11"],
+    "trajectory": ["--alpha", "2", "--seed", "4", "--gaussian", "--t-end", "0.2",
+                   "--y0", "0.6", "--z0", "0.8"],
+    "mlp": ["--lambda", "1.2", "--dt", "1e-3", "--t-end", "0.3", "--px0", "0.1",
+            "--format", "json"],
+    "ensemble": ["--lambda", "1.1", "--n", "3", "--seed", "2", "--gaussian",
+                 "--t-end", "0.2", "--tau", "50"],
+}
+
+
+@pytest.mark.parametrize("command", ROUND_TRIPS)
+def test_sidecar_round_trip_reproduces_table_and_sidecar(tmp_path, command):
+    fmt = "json" if "json" in ROUND_TRIPS[command] else "csv"
+    a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+    assert main([command, *ROUND_TRIPS[command], "-o", str(a)]) == 0
+    assert main([command, "--config", str(tmp_path / "a.config.json"), "-o", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert (tmp_path / "a.config.json").read_bytes() == (tmp_path / "b.config.json").read_bytes()
+
+
+def test_grid_by_flag_and_by_config_write_the_same_sidecar(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lam_grid = [0, 0.95, 96]\n")
+    assert main(["transition-time", "--lambda-grid", "0", "0.95", "96",
+                 "-o", str(tmp_path / "flag.csv")]) == 0
+    assert main(["transition-time", "--config", str(cfg), "-o", str(tmp_path / "cfg.csv")]) == 0
+    flag, by_config = tmp_path / "flag.config.json", tmp_path / "cfg.config.json"
+    assert flag.read_bytes() == by_config.read_bytes()
+    assert json.loads(flag.read_text())["config"]["lam_grid"] == [0.0, 0.95, 96]
+    assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "cfg.csv").read_bytes()
+
+
+def test_sidecar_with_string_grid_cells_reproduces_its_table(tmp_path):
+    # sidecars once recorded a grid given by flag as its text
+    old = tmp_path / "old.config.json"
+    old.write_text(json.dumps({
+        "command": "transition-time",
+        "config": {"format": "csv", "lam": 0.0, "lam_grid": ["0", "0.95", "96"],
+                   "omega_s": 0.5},
+        "zenopath_version": "0.1.0",
+    }))
+    out = tmp_path / "t.csv"
+    assert main(["transition-time", "--config", str(old), "-o", str(out)]) == 0
+    # the table that sidecar's run wrote
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "bbd11fcee3ad759e72157b09a660657e97678e9efe8c7d07aac9b2e9525c022b")

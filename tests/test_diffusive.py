@@ -435,6 +435,13 @@ def test_params_validation():
     assert p.lam == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("dt, t_end", [(math.nan, 1.0), (math.inf, 1.0), (1e-3, math.inf),
+                                       (1e-3, math.nan)])
+def test_step_count_rejects_non_finite_dt_or_t_end(dt, t_end):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        _kernels.step_count(dt, t_end)
+
+
 @pytest.mark.parametrize("dt, t_end", [(0.0, 1.0), (-1e-3, 1.0), (1e-3, 0.0), (1e-3, -1.0)])
 def test_integrate_mlp_rejects_nonpositive_dt_or_t_end(dt, t_end):
     with pytest.raises(ValueError, match="must be positive"):

@@ -119,6 +119,13 @@ def test_postselected_step_underflow():
         postselected_step(DensityMatrix(np.diag([0.0, 1.0])), params)
 
 
+def test_mc_zeno_trajectory_underflow():
+    # from the south pole, J*dt = pi/2 annihilates |1> on the first step
+    params = MeasurementParams(omega_s=1e-12, j_coupling=math.pi / 2, dt=1.0)
+    with pytest.raises(NormalizationUnderflow, match="post-selection trace underflow at step 0"):
+        mc_zeno_trajectory(BlochState(0.0, 0.0, -1.0), params, 5)
+
+
 def test_bloch_density_round_trip():
     assert bloch_from_density(DensityMatrix(np.diag([1.0, 0.0]))) == BlochState(0, 0, 1)
     np.testing.assert_allclose(
@@ -136,6 +143,13 @@ def test_bloch_density_round_trip():
 def test_bloch_norm_validation():
     with pytest.raises(InvalidState):
         BlochState(1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("coords", [(math.nan, 0.0, 0.0), (0.0, 0.0, math.nan)])
+def test_bloch_state_rejects_nan(coords):
+    # a NaN norm compares False with any bound, so it must fail the check, not pass it
+    with pytest.raises(InvalidState):
+        BlochState(*coords)
 
 
 def test_drift_trivials():
