@@ -25,12 +25,16 @@ TRACE_FLOOR = 1e-15
 
 
 def step_count(dt, t_end):
-    """The max(1, round(t_end / dt)) steps of a fixed-step run."""
+    """The max(1, round(t_end / dt)) steps of a fixed-step run; raises
+    ValueError unless dt, t_end and their ratio are finite and dt, t_end > 0."""
     if not (dt > 0.0 and isfinite(dt)):
         raise ValueError("dt must be positive and finite")
     if not (t_end > 0.0 and isfinite(t_end)):
         raise ValueError("t_end must be positive and finite")
-    return max(1, round(t_end / dt))
+    ratio = t_end / dt
+    if not isfinite(ratio):
+        raise ValueError(f"t_end / dt = {t_end!r} / {dt!r} overflows: too many steps")
+    return max(1, round(ratio))
 
 
 def time_grid(dt, t_end):
@@ -63,6 +67,8 @@ def zeno_walk(x, y, z, omega_s, j_coupling, dt, n_steps):
     srot = sin(rot)
     cj = cos(j_coupling * dt)
     cj2 = cj * cj
+    buf = memoryview(out).cast("B").cast("d")
+    i = 3
     for k in range(n_steps):
         # Rabi rotation in the y-z plane
         y1 = y * crot - z * srot
@@ -74,9 +80,10 @@ def zeno_walk(x, y, z, omega_s, j_coupling, dt, n_steps):
         x = cj * x / trace
         y = cj * y1 / trace
         z = ((1.0 + z1) - cj2 * (1.0 - z1)) / (2.0 * trace)
-        out[k + 1, 0] = x
-        out[k + 1, 1] = y
-        out[k + 1, 2] = z
+        buf[i] = x
+        buf[i + 1] = y
+        buf[i + 2] = z
+        i += 3
     return out
 
 
@@ -116,26 +123,56 @@ def phase_rk4(u0, p0, omega_s, lam, theta_ref, anchored, dt, n_steps):
     :func:`nullcline_factor`); u is unwrapped (continuous across +-pi).  Also
     returns the minimum flow speed encountered, used by the caller to flag
     stalls.
+
+    Each of the four stages is :func:`_phase_rhs` written out in the loop,
+    with its constant products hoisted (``c * a * b`` is ``(c * a) * b``) and
+    the one sin(theta) of the plain branch shared by both components, so the
+    path is bit-identical to stepping :func:`_phase_rhs`
+    (notes/decisions.md, section 5).
     """
     out = np.empty((n_steps + 1, 2))
     u = u0
     p = p0
     out[0, 0] = u
     out[0, 1] = p
+    buf = memoryview(out).cast("B").cast("d")
+    i = 2
     min_speed = 1.0e308
     h = 0.5 * dt
-    for k in range(n_steps):
-        k1t, k1p = _phase_rhs(u, p, omega_s, lam, theta_ref, anchored)
+    m2w = -2.0 * omega_s
+    c2wl = 2.0 * omega_s * lam
+    c2l = 2.0 * lam
+    for _ in range(n_steps):
+        th = theta_ref + u
+        st = sin(th)
+        k1t = m2w * (c2l * cos(theta_ref + 0.5 * u) * sin(0.5 * u) if anchored else 1.0 + lam * st)
+        k1p = c2wl * (p * cos(th) + st)
         speed = sqrt(k1t * k1t + k1p * k1p)
         if speed < min_speed:
             min_speed = speed
-        k2t, k2p = _phase_rhs(u + h * k1t, p + h * k1p, omega_s, lam, theta_ref, anchored)
-        k3t, k3p = _phase_rhs(u + h * k2t, p + h * k2p, omega_s, lam, theta_ref, anchored)
-        k4t, k4p = _phase_rhs(u + dt * k3t, p + dt * k3p, omega_s, lam, theta_ref, anchored)
+        v = u + h * k1t
+        q = p + h * k1p
+        th = theta_ref + v
+        st = sin(th)
+        k2t = m2w * (c2l * cos(theta_ref + 0.5 * v) * sin(0.5 * v) if anchored else 1.0 + lam * st)
+        k2p = c2wl * (q * cos(th) + st)
+        v = u + h * k2t
+        q = p + h * k2p
+        th = theta_ref + v
+        st = sin(th)
+        k3t = m2w * (c2l * cos(theta_ref + 0.5 * v) * sin(0.5 * v) if anchored else 1.0 + lam * st)
+        k3p = c2wl * (q * cos(th) + st)
+        v = u + dt * k3t
+        q = p + dt * k3p
+        th = theta_ref + v
+        st = sin(th)
+        k4t = m2w * (c2l * cos(theta_ref + 0.5 * v) * sin(0.5 * v) if anchored else 1.0 + lam * st)
+        k4p = c2wl * (q * cos(th) + st)
         u = u + dt * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
         p = p + dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-        out[k + 1, 0] = u
-        out[k + 1, 1] = p
+        buf[i] = u
+        buf[i + 1] = p
+        i += 2
     return out, min_speed
 
 
@@ -168,27 +205,38 @@ def diffusive_walk(x, y, z, omega_s, alpha, dt, dw):
     n_steps = dw.shape[0]
     out = np.empty((n_steps + 1, 3))
     out[0] = x, y, z
+    buf = memoryview(out).cast("B").cast("d")
+    i = 3
     angle = sqrt(alpha) * dw
     cos_a = np.cos(angle).tolist()
     sin_a = np.sin(angle).tolist()
     h = 0.5 * dt
-    for k in range(n_steps):
-        k1x, k1y, k1z = bloch_drift(x, y, z, omega_s, alpha)
-        k2x, k2y, k2z = bloch_drift(x + h * k1x, y + h * k1y, z + h * k1z, omega_s, alpha)
-        k3x, k3y, k3z = bloch_drift(x + h * k2x, y + h * k2y, z + h * k2z, omega_s, alpha)
-        k4x, k4y, k4z = bloch_drift(x + dt * k3x, y + dt * k3y, z + dt * k3z, omega_s, alpha)
+    nha = -0.5 * alpha
+    ha = 0.5 * alpha
+    tw = 2.0 * omega_s
+
+    def drift(x, y, z):
+        # bloch_drift without w, its constant products hoisted, bit for bit
+        return nha * x * z, nha * y * z - tw * z, ha * (1.0 - z * z) + tw * y
+
+    for ca, sa in zip(cos_a, sin_a):
+        k1x, k1y, k1z = drift(x, y, z)
+        k2x, k2y, k2z = drift(x + h * k1x, y + h * k1y, z + h * k1z)
+        k3x, k3y, k3z = drift(x + h * k2x, y + h * k2y, z + h * k2z)
+        k4x, k4y, k4z = drift(x + dt * k3x, y + dt * k3y, z + dt * k3z)
         xn = x + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
         yn = y + dt * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
         zn = z + dt * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
-        xr = cos_a[k] * xn + sin_a[k] * yn
-        yr = cos_a[k] * yn - sin_a[k] * xn
+        xr = ca * xn + sa * yn
+        yr = ca * yn - sa * xn
         norm = sqrt(xr * xr + yr * yr + zn * zn)
         x = xr / norm
         y = yr / norm
         z = zn / norm
-        out[k + 1, 0] = x
-        out[k + 1, 1] = y
-        out[k + 1, 2] = z
+        buf[i] = x
+        buf[i + 1] = y
+        buf[i + 2] = z
+        i += 3
     return out
 
 
@@ -244,37 +292,60 @@ def mlp_rhs(x, y, z, px, py, pz, omega_s, alpha):
 
 
 def mlp_rk4(s0, omega_s, alpha, dt, n_steps):
-    """Fixed-step RK4 on the six extremal equations of the most-likely path."""
+    """Fixed-step RK4 on the six extremal equations of the most-likely path.
+
+    Each stage is :func:`mlp_rhs` fused with :func:`bloch_drift` into one
+    closure, its constant products hoisted and its operation order kept, so
+    the path is bit-identical to stepping :func:`mlp_rhs`
+    (notes/decisions.md, section 5).
+    """
     out = np.empty((n_steps + 1, 6))
     out[0] = s0
+    buf = memoryview(out).cast("B").cast("d")
+    i = 6
     x, y, z, px, py, pz = s0.tolist()
     min_speed = 1.0e308
     h = 0.5 * dt
-    for k in range(n_steps):
-        a = mlp_rhs(x, y, z, px, py, pz, omega_s, alpha)
-        speed = sqrt(
-            a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
-            + a[3] * a[3] + a[4] * a[4] + a[5] * a[5]
+    nha = -0.5 * alpha
+    ha = 0.5 * alpha
+    tw = 2.0 * omega_s
+
+    def rhs(x, y, z, px, py, pz):
+        w = alpha * (y * px - x * py)
+        return (
+            nha * x * z + w * y,
+            (nha * y * z - w * x) - tw * z,
+            ha * (1.0 - z * z) + tw * y,
+            ha * z * px + w * py,
+            -w * px + ha * z * py - tw * pz,
+            ha * x * px + ha * y * py + tw * py + alpha * z * pz - ha,
         )
+
+    for _ in range(n_steps):
+        a0, a1, a2, a3, a4, a5 = rhs(x, y, z, px, py, pz)
+        speed = sqrt(a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4 + a5 * a5)
         if speed < min_speed:
             min_speed = speed
-        b = mlp_rhs(
-            x + h * a[0], y + h * a[1], z + h * a[2],
-            px + h * a[3], py + h * a[4], pz + h * a[5], omega_s, alpha,
+        b0, b1, b2, b3, b4, b5 = rhs(
+            x + h * a0, y + h * a1, z + h * a2, px + h * a3, py + h * a4, pz + h * a5
         )
-        c = mlp_rhs(
-            x + h * b[0], y + h * b[1], z + h * b[2],
-            px + h * b[3], py + h * b[4], pz + h * b[5], omega_s, alpha,
+        c0, c1, c2, c3, c4, c5 = rhs(
+            x + h * b0, y + h * b1, z + h * b2, px + h * b3, py + h * b4, pz + h * b5
         )
-        d = mlp_rhs(
-            x + dt * c[0], y + dt * c[1], z + dt * c[2],
-            px + dt * c[3], py + dt * c[4], pz + dt * c[5], omega_s, alpha,
+        d0, d1, d2, d3, d4, d5 = rhs(
+            x + dt * c0, y + dt * c1, z + dt * c2, px + dt * c3, py + dt * c4, pz + dt * c5
         )
-        x = x + dt * (a[0] + 2.0 * b[0] + 2.0 * c[0] + d[0]) / 6.0
-        y = y + dt * (a[1] + 2.0 * b[1] + 2.0 * c[1] + d[1]) / 6.0
-        z = z + dt * (a[2] + 2.0 * b[2] + 2.0 * c[2] + d[2]) / 6.0
-        px = px + dt * (a[3] + 2.0 * b[3] + 2.0 * c[3] + d[3]) / 6.0
-        py = py + dt * (a[4] + 2.0 * b[4] + 2.0 * c[4] + d[4]) / 6.0
-        pz = pz + dt * (a[5] + 2.0 * b[5] + 2.0 * c[5] + d[5]) / 6.0
-        out[k + 1] = x, y, z, px, py, pz
+        x = x + dt * (a0 + 2.0 * b0 + 2.0 * c0 + d0) / 6.0
+        y = y + dt * (a1 + 2.0 * b1 + 2.0 * c1 + d1) / 6.0
+        z = z + dt * (a2 + 2.0 * b2 + 2.0 * c2 + d2) / 6.0
+        px = px + dt * (a3 + 2.0 * b3 + 2.0 * c3 + d3) / 6.0
+        py = py + dt * (a4 + 2.0 * b4 + 2.0 * c4 + d4) / 6.0
+        pz = pz + dt * (a5 + 2.0 * b5 + 2.0 * c5 + d5) / 6.0
+        buf[i] = x
+        buf[i + 1] = y
+        buf[i + 2] = z
+        buf[i + 3] = px
+        buf[i + 4] = py
+        buf[i + 5] = pz
+        i += 6
     return out, min_speed

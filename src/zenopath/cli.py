@@ -137,7 +137,7 @@ def _config_defaults(path: str, command: argparse.ArgumentParser) -> dict:
     """The values of config file ``path`` for subcommand ``command``; raises
     ValueError naming its unknown keys or the first value it rejects."""
     options = {a.dest: a for a in command._actions
-               if a.dest != "config" and a.default is not argparse.SUPPRESS}
+               if a.dest not in _NON_CONFIG_KEYS and a.default is not argparse.SUPPRESS}
     values = _load_config(path)
     unknown = sorted(set(values) - set(options))
     if unknown:

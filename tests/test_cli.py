@@ -359,6 +359,8 @@ def _exit_code(argv):
     ("trajectory", [], 'gaussian = "no"', "error[config]", "gaussian"),
     ("portrait", [], 'energy_grid = [0.25, 2, "x"]', "error[config]", "energy_grid"),
     ("transition-time", [], "lam = abc", "error[config]", "lam = 'abc'"),
+    ("trajectory", ["--dt", "1e-300", "--t-end", "1e300"], None, "error[invalid-config]",
+     "t_end / dt"),
 ])
 def test_bad_input_exits_2_with_a_named_error_and_writes_nothing(
         tmp_path, monkeypatch, capsys, command, flags, config, prefix, names):
@@ -371,6 +373,17 @@ def test_bad_input_exits_2_with_a_named_error_and_writes_nothing(
     err = capsys.readouterr().err
     assert err.startswith(prefix) and names in err
     assert not (tmp_path / "out").exists()
+
+
+def test_output_in_a_config_file_is_rejected(tmp_path, monkeypatch, capsys):
+    # the sidecar never records the output path, so a config file may not set it
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ZENOPATH_OUTDIR", raising=False)
+    (tmp_path / "o.cfg").write_text('output = "cfgout.csv"\nomega_s = 0.5\n')
+    assert main(["transition-time", "--config", "o.cfg"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]") and "output" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.cfg"]
 
 
 #: Non-default flags for each subcommand, with a grid where it takes one.

@@ -442,6 +442,13 @@ def test_step_count_rejects_non_finite_dt_or_t_end(dt, t_end):
         _kernels.step_count(dt, t_end)
 
 
+@pytest.mark.parametrize("dt, t_end", [(1e-300, 1e300), (5e-324, 1.0)])
+def test_step_count_rejects_a_ratio_that_overflows(dt, t_end):
+    # each is finite and positive, but t_end / dt is inf: round() would raise OverflowError
+    with pytest.raises(ValueError, match="overflows"):
+        _kernels.step_count(dt, t_end)
+
+
 @pytest.mark.parametrize("dt, t_end", [(0.0, 1.0), (-1e-3, 1.0), (1e-3, 0.0), (1e-3, -1.0)])
 def test_integrate_mlp_rejects_nonpositive_dt_or_t_end(dt, t_end):
     with pytest.raises(ValueError, match="must be positive"):

@@ -1,0 +1,115 @@
+"""The RK4 kernels step their pointwise formulas bit for bit.
+
+``phase_rk4`` writes :func:`_kernels._phase_rhs` out in its loop and
+``mlp_rk4`` fuses :func:`_kernels.mlp_rhs` into one closure, each with its
+constant products hoisted.  Here classic RK4 is stepped through the pointwise
+functions themselves, and the kernels must give the same bytes.  The steps
+are coarse (dt 5e-3 to 1e-2): at dt = 1e-3 a one-ulp change in a stage is
+scaled by dt / 6 and mostly rounds away, so a regrouped sum could go unseen.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from zenopath import (
+    DiffusiveParams,
+    ExtendedState,
+    WienerStream,
+    integrate_mlp,
+    mlp_pieces,
+)
+from zenopath import _kernels
+from zenopath.phase import stable_angle
+
+N_STEPS = 500
+
+
+def _rk4_step(rhs, state, dt):
+    """One classic RK4 step through ``rhs(*state)``: the new state and k1."""
+    h = 0.5 * dt
+    k1 = rhs(*state)
+    k2 = rhs(*(s + h * k for s, k in zip(state, k1)))
+    k3 = rhs(*(s + h * k for s, k in zip(state, k2)))
+    k4 = rhs(*(s + dt * k for s, k in zip(state, k3)))
+    return tuple(s + dt * (a + 2.0 * b + 2.0 * c + d) / 6.0
+                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)), k1
+
+
+def _rk4_reference(rhs, state, dt, n_steps):
+    """Classic RK4 through ``rhs(*state)``: the rows (n_steps + 1, len(state))
+    and the minimum of the flow speed |rhs| at the start of each step."""
+    rows = [state]
+    min_speed = 1.0e308
+    for _ in range(n_steps):
+        state, k1 = _rk4_step(rhs, state, dt)
+        min_speed = min(min_speed, math.sqrt(sum(k * k for k in k1)))
+        rows.append(state)
+    return np.array(rows), min_speed
+
+
+def _phase_cases():
+    for lam in (0.5, 1.2, 1.5):
+        for theta0 in (0.0, -0.0, -3.0):
+            yield lam, theta0, -0.0, theta0, False
+            if lam >= 1.0:
+                ref = stable_angle(theta0, lam)
+                yield lam, theta0, ref, theta0 - ref, True
+
+
+@pytest.mark.parametrize("lam, theta0, theta_ref, u0, anchored", list(_phase_cases()))
+def test_phase_rk4_equals_rk4_through_phase_rhs_byte_for_byte(
+        lam, theta0, theta_ref, u0, anchored):
+    omega_s, dt, p0 = 0.5, 1e-2, 0.0
+    path, min_speed = _kernels.phase_rk4(
+        u0, p0, omega_s, lam, theta_ref, anchored, dt, N_STEPS)
+    ref, ref_speed = _rk4_reference(
+        lambda u, p: _kernels._phase_rhs(u, p, omega_s, lam, theta_ref, anchored),
+        (u0, p0), dt, N_STEPS)
+    assert path.tobytes() == ref.tobytes()
+    assert min_speed.hex() == ref_speed.hex()
+
+
+MLP_STARTS = [(0.0, 0.0, 1.0, 0.0, 0.0, 0.0), (-0.0, 0.1, 0.99, 0.2, -0.0, 0.1),
+              (0.3, -0.4, 0.5, 1.0, 2.0, -3.0), (0.6, 0.0, -0.8, -1.5, 0.7, 2.5)]
+
+
+@pytest.mark.parametrize("s0", MLP_STARTS)
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.5])
+def test_mlp_kernel_equals_rk4_through_mlp_rhs_byte_for_byte(lam, s0):
+    params = DiffusiveParams.from_lambda(0.5, lam, tau=100.0)
+    dt = 5e-3
+    ref, ref_speed = _rk4_reference(
+        lambda *s: _kernels.mlp_rhs(*s, params.omega_s, params.alpha), s0, dt, N_STEPS)
+    path, min_speed = _kernels.mlp_rk4(np.array(s0), params.omega_s, params.alpha, dt, N_STEPS)
+    assert path.tobytes() == ref.tobytes()
+    assert min_speed.hex() == ref_speed.hex()
+    start = ExtendedState(*s0)
+    t_end = N_STEPS * dt
+    assert integrate_mlp(start, params, dt, t_end).states.tobytes() == ref.tobytes()
+    pieces = list(mlp_pieces(start, params, dt, t_end, rows=137))  # boundaries at 137, 274, 411
+    assert len(pieces) == 4
+    assert np.concatenate([p.states for p in pieces]).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["binary", "gaussian"])
+@pytest.mark.parametrize("start", [(0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, -1.0)])
+@pytest.mark.parametrize("lam", [0.5, 1.5])
+def test_diffusive_walk_equals_rk4_through_bloch_drift_byte_for_byte(lam, start, gaussian):
+    omega_s, dt = 0.5, 1e-2
+    alpha = 4.0 * omega_s * lam
+    dw = WienerStream(seed=5, dt=dt, gaussian=gaussian).increments(N_STEPS)
+    angle = math.sqrt(alpha) * dw
+    rows = [start]
+    state = start
+    for c, s in zip(np.cos(angle).tolist(), np.sin(angle).tolist()):
+        (xn, yn, zn), _ = _rk4_step(
+            lambda x, y, z: _kernels.bloch_drift(x, y, z, omega_s, alpha), state, dt)
+        xr = c * xn + s * yn
+        yr = c * yn - s * xn
+        norm = math.sqrt(xr * xr + yr * yr + zn * zn)
+        state = (xr / norm, yr / norm, zn / norm)
+        rows.append(state)
+    walk = _kernels.diffusive_walk(*start, omega_s, alpha, dt, dw)
+    assert walk.tobytes() == np.array(rows).tobytes()
