@@ -6,6 +6,16 @@ times as much per operation and gives the same IEEE results
 (notes/decisions.md, section 5).  The one exception is
 :func:`diffusive_walk_batch`, which steps a whole ensemble as one stacked
 (3, n) numpy array (section 6).  ``perfbench/`` times each kernel.
+
+The scalar RK4 loops do not call the pointwise formulas per stage:
+:func:`phase_rk4` writes :func:`_phase_rhs` out for each of its four stages,
+and :func:`mlp_rk4` and :func:`diffusive_walk` step one closure of
+:func:`mlp_rhs` or :func:`bloch_drift`.  Each hoists the constant products
+and keeps the operation order, so the paths are bit-identical to stepping
+the pointwise formulas, which stay the definitions every other caller uses;
+``tests/test_kernels.py`` pins each copy to its formula byte for byte.  All
+four scalar loops store each row through a flat ``memoryview`` of the output
+array, which costs about half as much as numpy's element writes.
 """
 
 import warnings
