@@ -7,17 +7,17 @@ times as much per operation and gives the same IEEE results
 :func:`diffusive_walk_batch`, which steps a whole ensemble as one stacked
 (3, n) numpy array (section 6).  ``perfbench/`` times each kernel.
 
-The scalar RK4 loops do not call the pointwise formulas per stage:
-:func:`phase_rk4` writes :func:`_phase_rhs` out for each of its four stages,
-and :func:`mlp_rk4` and :func:`diffusive_walk` step one closure of
-:func:`mlp_rhs` or :func:`bloch_drift`.  Each hoists the constant products
-and keeps the operation order, so the paths are bit-identical to stepping
-the pointwise formulas, which stay the definitions every other caller uses;
-``tests/test_kernels.py`` pins each copy to its formula byte for byte.  All
-four scalar loops store each row through a flat ``memoryview`` of the output
-array, which costs about half as much as numpy's element writes.
+The two scalar RK4 loops, :func:`mlp_rk4` and :func:`diffusive_walk`, step
+one closure of :func:`mlp_rhs` or :func:`bloch_drift` with the constant
+products hoisted and the operation order kept, so their paths are
+bit-identical to stepping the pointwise formulas, which stay the definitions
+every other caller uses (``tests/test_kernels.py``).  All three scalar loops
+store each row through a flat ``memoryview`` of the output array, which costs
+about half as much as numpy's element writes.  The phase path has no loop:
+``phase.integrate_phase_path`` evaluates it in closed form.
 """
 
+import math
 import warnings
 from math import cos, isfinite, sin, sqrt
 
@@ -32,11 +32,14 @@ STALL_SPEED = 1e-10
 #: Post-selection trace denominators at or below this are treated as state
 #: annihilation (e.g. a projective J*dt = pi/2 readout acting on |1>).
 TRACE_FLOOR = 1e-15
+#: The most float64 samples one numpy array can hold: its size in bytes must fit an intp.
+MAX_SAMPLES = np.iinfo(np.intp).max // 8
 
 
 def step_count(dt, t_end):
     """The max(1, round(t_end / dt)) steps of a fixed-step run; raises
-    ValueError unless dt, t_end and their ratio are finite and dt, t_end > 0."""
+    ValueError unless dt, t_end and their ratio are finite, dt, t_end > 0 and
+    the steps' time grid has at most MAX_SAMPLES samples."""
     if not (dt > 0.0 and isfinite(dt)):
         raise ValueError("dt must be positive and finite")
     if not (t_end > 0.0 and isfinite(t_end)):
@@ -44,7 +47,11 @@ def step_count(dt, t_end):
     ratio = t_end / dt
     if not isfinite(ratio):
         raise ValueError(f"t_end / dt = {t_end!r} / {dt!r} overflows: too many steps")
-    return max(1, round(ratio))
+    n_steps = max(1, round(ratio))
+    if n_steps >= MAX_SAMPLES:
+        raise ValueError(f"t_end / dt = {t_end!r} / {dt!r} asks for {ratio:.4g} steps; "
+                         f"a float64 time grid holds at most {MAX_SAMPLES} samples")
+    return n_steps
 
 
 def time_grid(dt, t_end):
@@ -97,93 +104,34 @@ def zeno_walk(x, y, z, omega_s, j_coupling, dt, n_steps):
     return out
 
 
-def nullcline_factor(u, lam, theta_ref, anchored):
+def nullcline_factor(u, lam, theta_ref, anchored, xp=math):
     """The factor 1 + lam sin(theta) of the reduced flow, at theta = theta_ref + u.
 
     Anchored (lam >= 1, theta_ref a zero of the factor: sin(theta_ref) = -1/lam)
     it is evaluated as 2 lam cos(theta_ref + u/2) sin(u/2), which keeps its
     relative precision as u -> 0 where the plain sum cancels to nothing.
     Unanchored it is the plain sum; theta_ref = -0.0 then makes theta_ref + u
-    exactly u.
+    exactly u.  ``xp`` supplies cos and sin: ``math`` for floats, ``numpy``
+    for arrays (this and the two functions below).
     """
     if anchored:
-        return 2.0 * lam * cos(theta_ref + 0.5 * u) * sin(0.5 * u)
-    return 1.0 + lam * sin(theta_ref + u)
+        return 2.0 * lam * xp.cos(theta_ref + 0.5 * u) * xp.sin(0.5 * u)
+    return 1.0 + lam * xp.sin(theta_ref + u)
 
 
-def _phase_rhs(u, p_theta, omega_s, lam, theta_ref, anchored):
+def _phase_rhs(u, p_theta, omega_s, lam, theta_ref, anchored, xp=math):
     theta = theta_ref + u
-    dtheta = -2.0 * omega_s * nullcline_factor(u, lam, theta_ref, anchored)
-    dp = 2.0 * omega_s * lam * (p_theta * cos(theta) + sin(theta))
+    dtheta = -2.0 * omega_s * nullcline_factor(u, lam, theta_ref, anchored, xp)
+    dp = 2.0 * omega_s * lam * (p_theta * xp.cos(theta) + xp.sin(theta))
     return dtheta, dp
 
 
-def phase_hamiltonian(u, p_theta, omega_s, lam, theta_ref, anchored):
+def phase_hamiltonian(u, p_theta, omega_s, lam, theta_ref, anchored, xp=math):
     """H = -2 Omega_s [p_theta (1 + lam sin theta) + lam (1 - cos theta)]."""
     return -2.0 * omega_s * (
-        p_theta * nullcline_factor(u, lam, theta_ref, anchored)
-        + lam * (1.0 - cos(theta_ref + u))
+        p_theta * nullcline_factor(u, lam, theta_ref, anchored, xp)
+        + lam * (1.0 - xp.cos(theta_ref + u))
     )
-
-
-def phase_rk4(u0, p0, omega_s, lam, theta_ref, anchored, dt, n_steps):
-    """Fixed-step RK4 on the reduced (theta, p_theta) Hamiltonian flow.
-
-    Integrates the deviation u = theta - theta_ref (see
-    :func:`nullcline_factor`); u is unwrapped (continuous across +-pi).  Also
-    returns the minimum flow speed encountered, used by the caller to flag
-    stalls.
-
-    Each of the four stages is :func:`_phase_rhs` written out in the loop,
-    with its constant products hoisted (``c * a * b`` is ``(c * a) * b``) and
-    the one sin(theta) of the plain branch shared by both components, so the
-    path is bit-identical to stepping :func:`_phase_rhs`
-    (notes/decisions.md, section 5).
-    """
-    out = np.empty((n_steps + 1, 2))
-    u = u0
-    p = p0
-    out[0, 0] = u
-    out[0, 1] = p
-    buf = memoryview(out).cast("B").cast("d")
-    i = 2
-    min_speed = 1.0e308
-    h = 0.5 * dt
-    m2w = -2.0 * omega_s
-    c2wl = 2.0 * omega_s * lam
-    c2l = 2.0 * lam
-    for _ in range(n_steps):
-        th = theta_ref + u
-        st = sin(th)
-        k1t = m2w * (c2l * cos(theta_ref + 0.5 * u) * sin(0.5 * u) if anchored else 1.0 + lam * st)
-        k1p = c2wl * (p * cos(th) + st)
-        speed = sqrt(k1t * k1t + k1p * k1p)
-        if speed < min_speed:
-            min_speed = speed
-        v = u + h * k1t
-        q = p + h * k1p
-        th = theta_ref + v
-        st = sin(th)
-        k2t = m2w * (c2l * cos(theta_ref + 0.5 * v) * sin(0.5 * v) if anchored else 1.0 + lam * st)
-        k2p = c2wl * (q * cos(th) + st)
-        v = u + h * k2t
-        q = p + h * k2p
-        th = theta_ref + v
-        st = sin(th)
-        k3t = m2w * (c2l * cos(theta_ref + 0.5 * v) * sin(0.5 * v) if anchored else 1.0 + lam * st)
-        k3p = c2wl * (q * cos(th) + st)
-        v = u + dt * k3t
-        q = p + dt * k3p
-        th = theta_ref + v
-        st = sin(th)
-        k4t = m2w * (c2l * cos(theta_ref + 0.5 * v) * sin(0.5 * v) if anchored else 1.0 + lam * st)
-        k4p = c2wl * (q * cos(th) + st)
-        u = u + dt * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
-        p = p + dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-        buf[i] = u
-        buf[i + 1] = p
-        i += 2
-    return out, min_speed
 
 
 def bloch_drift(x, y, z, omega_s, alpha, w=None):

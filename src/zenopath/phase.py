@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import CurveSingularity, NoZenoRegime, StalledAtFixedPoint
+from .errors import CurveSingularity, NonFiniteState, NoZenoRegime, StalledAtFixedPoint
 
 _CRITICAL_DISTANCE = 1e-6
 
@@ -148,11 +148,14 @@ def separatrix_energies(lam: float):
 
 @dataclass(frozen=True)
 class PhasePath:
-    """RK4 path samples; ``theta`` is unwrapped (continuous across +-pi).
+    """Samples of the exact null-record path; ``theta`` is unwrapped
+    (continuous across +-pi).
 
-    For lam >= 1 the path was integrated in ``deviation`` = theta - theta_ref
-    from the stable critical angle ``theta_ref`` that it flows into (see
-    :func:`integrate_phase_path`); ``deviation`` is None otherwise.
+    For lam >= 1 the path is carried in ``deviation`` = theta - theta_ref
+    from the stable critical angle ``theta_ref`` that it flows into, and
+    1 + lam sin theta as 2 lam cos(theta_ref + u/2) sin(u/2): the plain sum
+    cancels to nothing there while p_theta grows like
+    exp(2 Omega_s sqrt(lam^2 - 1) t).  ``deviation`` is None otherwise.
     """
 
     t: np.ndarray
@@ -168,15 +171,12 @@ class PhasePath:
         return PhasePoint(float(self.theta[i]), float(self.p_theta[i]))
 
     def hamiltonian(self, params: PhaseParams) -> np.ndarray:
-        """H at every sample, with the nullcline factor the path was integrated with."""
+        """H at every sample, with the nullcline factor the path was evaluated with."""
         anchored = self.deviation is not None
         u = self.deviation if anchored else self.theta
-        return _hamiltonian_samples(
-            u, self.p_theta, params.omega_s, params.lam, self.theta_ref, anchored
+        return _kernels.phase_hamiltonian(
+            u, self.p_theta, params.omega_s, params.lam, self.theta_ref, anchored, np
         )
-
-
-_hamiltonian_samples = np.vectorize(_kernels.phase_hamiltonian, otypes=[float])
 
 
 def stable_angle(theta: float, lam: float) -> float:
@@ -193,54 +193,105 @@ def stable_angle(theta: float, lam: float) -> float:
     return theta1 + math.tau * math.floor((theta - theta2) / math.tau)
 
 
+def _half_turn(theta0, omega_s, lam, t):
+    """(theta(t) - theta0) / 2 on the exact null-record path, lam < 1.
+
+    Seen from psi(0), psi(t) points along (r cos(delta t) + lam cos(theta0)
+    sin(delta t), -(1 + lam sin theta0) sin(delta t)), r = sqrt(1 - lam^2)
+    and delta = Omega_s r.  The half angle falls by pi in each half period
+    pi / delta, so their count fixes its branch.
+    """
+    r = math.sqrt(1.0 - lam * lam)
+    phase = omega_s * r * t
+    sin_phase = np.sin(phase)
+    half = np.arctan2(-(1.0 + lam * math.sin(theta0)) * sin_phase,
+                      r * np.cos(phase) + lam * math.cos(theta0) * sin_phase)
+    centre = -(np.floor(phase / math.pi) + 0.5) * math.pi
+    return half - math.tau * np.round((half - centre) / math.tau)
+
+
+def _deviation(u0, omega_s, lam, t):
+    """u(t) on the exact null-record path, lam >= 1, measured from the slow
+    eigenvector v1 of the generator itself.
+
+    In the frame of v1, psi(t) e^{-mu1 t} points along (cos(u0/2) +
+    sin(u0/2) (1 - e^{-gamma t}) / s, sin(u0/2) e^{-gamma t}), s =
+    sqrt(lam^2 - 1), gamma = 2 Omega_s s; at lam = 1 (a Jordan block)
+    (1 - e^{-gamma t}) / s is 2 Omega_s t.  The second component keeps the
+    sign of sin(u0/2), so u needs no unwrapping, and u keeps its relative
+    precision as it decays.
+    """
+    s = math.sqrt(lam * lam - 1.0)
+    gamma = 2.0 * omega_s * s
+    spread = -np.expm1(-gamma * t) / s if s else 2.0 * omega_s * t
+    sin0, cos0 = math.sin(0.5 * u0), math.cos(0.5 * u0)
+    return 2.0 * np.arctan2(sin0 * np.exp(-gamma * t), cos0 + sin0 * spread)
+
+
 def integrate_phase_path(
     start: PhasePoint,
     params: PhaseParams,
     t_end: float,
     dt: float | None = None,
 ) -> PhasePath:
-    """Classic fixed-step RK4 on Hamilton's equations.
+    """The exact null-record path from ``start``, sampled every dt to t_end.
 
-    dt defaults to 1e-3 / omega_s.  For lam >= 1 the angle is integrated as
-    the deviation u = theta - theta_ref from the stable critical angle
-    ``theta_ref`` = :func:`stable_angle` that the orbit flows into, with
-    1 + lam sin theta written as 2 lam cos(theta_ref + u/2) sin(u/2): there
-    the plain sum cancels to nothing while p_theta grows like
-    exp(2 Omega_s sqrt(lam^2 - 1) t).  For lam < 1 theta is integrated as it
-    is.  Emits ``StalledAtFixedPoint`` when the flow speed drops below 1e-10
-    and a warning when the path passes within 1e-6 of a critical point
-    (informational, not fatal).
+    dt (default 1e-3 / omega_s) is the sample spacing only: each sample is
+    the closed-form solution at its time, and p_theta is read off the energy
+    curve through the start (notes/decisions.md, section 1).  For lam >= 1
+    the angle is carried as the deviation from :func:`stable_angle` (see
+    :class:`PhasePath`).  Raises NonFiniteState at the first sample whose
+    theta or p_theta is not finite.  Emits ``StalledAtFixedPoint`` when the
+    flow speed at a sample is below 1e-10 and a warning when the path passes
+    within 1e-6 of a critical point (informational, not fatal).
     """
     if dt is None:
         dt = 1e-3 / params.omega_s
-    n_steps, t = _kernels.time_grid(dt, t_end)
-    anchored = params.lam >= 1.0
+    _, t = _kernels.time_grid(dt, t_end)
+    omega_s, lam = params.omega_s, params.lam
+    theta0, p0 = start.theta, start.p_theta
+    anchored = lam >= 1.0
     if anchored:
-        theta_ref = stable_angle(start.theta, params.lam)
-        u0 = start.theta - theta_ref
+        theta_ref = stable_angle(theta0, lam)
+        u0 = theta0 - theta_ref
+        theta1, theta2 = critical_angles(lam)
     else:
         # -0.0 is the exact additive identity: theta_ref + u is u, bit for bit
-        theta_ref, u0 = -0.0, start.theta
-    path, min_speed = _kernels.phase_rk4(
-        u0, start.p_theta, params.omega_s, params.lam, theta_ref, anchored, dt, n_steps
-    )
-    theta = theta_ref + path[:, 0]
-    p = path[:, 1]
-    _kernels.warn_if_stalled(min_speed)
-    if params.lam > 1.0:
+        theta_ref, u0 = -0.0, theta0
+    with np.errstate(all="ignore"):  # overflow is caught below as NonFiniteState
+        if anchored and u0 in (0.0, theta2 - theta1):
+            # a start on theta1 (theta2) stays there and the energy curve is
+            # 0/0: dp/dt = rate (p + tan theta_k), rate = gamma (-gamma), and
+            # rate tan theta_k = -2 Omega_s
+            rate = 2.0 * omega_s * math.sqrt(lam * lam - 1.0) * (1.0 if u0 == 0.0 else -1.0)
+            u = np.full(t.shape, u0)
+            p = p0 * np.exp(rate * t) - 2.0 * omega_s * (np.expm1(rate * t) / rate if rate else t)
+        else:
+            if anchored:
+                u = _deviation(u0, omega_s, lam, t)
+            else:
+                u = theta0 + 2.0 * _half_turn(theta0, omega_s, lam, t)
+            # p factor = p0 factor0 + lam (cos theta - cos theta0) on the
+            # energy curve, with the difference of cosines as a product
+            half = 0.5 * (u - u0)
+            p = (p0 * _kernels.nullcline_factor(u0, lam, theta_ref, anchored)
+                 - 2.0 * lam * np.sin(theta0 + half) * np.sin(half)
+                 ) / _kernels.nullcline_factor(u, lam, theta_ref, anchored, np)
+        theta = theta_ref + u
+        bad = ~(np.isfinite(theta) & np.isfinite(p))
+        if bad.any():
+            raise NonFiniteState(
+                f"the phase path left the floating-point range at t = {t[np.argmax(bad)]:.6g}"
+            )
+        speed = np.hypot(*_kernels._phase_rhs(u, p, omega_s, lam, theta_ref, anchored, np))
+    _kernels.warn_if_stalled(float(np.min(speed)))
+    if lam > 1.0:
         cps = critical_points(params)
         for cp in (cps.p1, cps.p2):
             dth = np.remainder(theta - cp.theta + np.pi, 2.0 * np.pi) - np.pi
-            d2 = dth**2 + (p - cp.p_theta) ** 2
-            if np.min(d2) < _CRITICAL_DISTANCE**2:
-                warnings.warn(
-                    f"path passed within {math.sqrt(float(np.min(d2))):.2e} of the "
-                    f"critical point at theta = {cp.theta:.6f}",
-                    StalledAtFixedPoint,
-                    stacklevel=2,
-                )
+            distance = float(np.min(np.hypot(dth, p - cp.p_theta)))
+            if distance < _CRITICAL_DISTANCE:
+                warnings.warn(f"path passed within {distance:.2e} of the critical point at "
+                              f"theta = {cp.theta:.6f}", StalledAtFixedPoint, stacklevel=2)
                 break
-    return PhasePath(
-        t=t, theta=theta, p_theta=p,
-        deviation=path[:, 0] if anchored else None, theta_ref=theta_ref,
-    )
+    return PhasePath(t, theta, p, u if anchored else None, theta_ref)

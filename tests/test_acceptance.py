@@ -128,7 +128,7 @@ def test_criterion_05_energy_conservation():
         h = path.hamiltonian(params)
         drifts[lam] = float(np.max(np.abs(h - h[0])) / max(1.0, abs(h[0])))
     ok = all(d < 1e-8 for d in drifts.values())
-    _report(5, ok, f"RK4 energy drift over 50/Omega_s: {drifts}")
+    _report(5, ok, f"energy drift of the exact path over 50/Omega_s: {drifts}")
     assert ok, (
         f"relative H drift {drifts} exceeds 1e-8 over t=50/Omega_s: every lam>=1 "
         "orbit funnels into the stable critical angle, where 1+lam*sin(theta) must "

@@ -361,6 +361,9 @@ def _exit_code(argv):
     ("transition-time", [], "lam = abc", "error[config]", "lam = 'abc'"),
     ("trajectory", ["--dt", "1e-300", "--t-end", "1e300"], None, "error[invalid-config]",
      "t_end / dt"),
+    # finite but far more steps than an array can hold: nothing is allocated
+    ("trajectory", ["--dt", "1e-300", "--t-end", "1"], None, "error[invalid-config]",
+     "t_end / dt = 1.0 / 1e-300 asks for 1e+300 steps"),
 ])
 def test_bad_input_exits_2_with_a_named_error_and_writes_nothing(
         tmp_path, monkeypatch, capsys, command, flags, config, prefix, names):

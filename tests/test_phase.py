@@ -6,6 +6,7 @@ import pytest
 
 from zenopath import (
     CurveSingularity,
+    NonFiniteState,
     NoZenoRegime,
     PhaseParams,
     PhasePoint,
@@ -285,3 +286,98 @@ def test_stall_warning_points_at_the_caller():
     stalls = [w for w in caught if "effectively stalled" in str(w.message)]
     assert len(stalls) == 1 and stalls[0].category is StalledAtFixedPoint
     assert stalls[0].filename == __file__
+
+
+# The exact null-record path.  Every bound below was fixed before the first run.
+
+EXACT_CASES = [(0.0, 0.0, 0.5), (0.5, 0.0, 1.0), (1.0, 0.0, 1.0), (1.2, 0.0, 1.0),
+               (1.5, 0.0, 1.0), (1.5, -3.0, 2.0)]
+
+
+def _mp_reference(lam, theta0, p0, times, omega_s=0.5):
+    """(theta, p_theta) at each time from expm of the no-click generator.
+
+    psi = (cos(theta/2), i sin(theta/2)) is stepped as (a, b) under
+    K = [[0, Omega_s], [-Omega_s, -2 Omega_s lam]].  Near the stable angle
+    1 + lam sin theta falls to about 1e-49 by t = 100 at lam = 1.5, so the
+    reference works at 100 digits to keep 50 of them there.  The half angle
+    is unwrapped along a chain of 0.25-long steps, over which it turns by at
+    most 0.32.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mpmath.workdps(100):
+        w, lam_, th0 = mp.mpf(omega_s), mp.mpf(lam), mp.mpf(theta0)
+        k = mp.matrix([[0, w], [-w, -2 * w * lam_]])
+        psi0 = mp.matrix([mp.cos(th0 / 2), mp.sin(th0 / 2)])
+        energy = mp.mpf(p0) * (1 + lam_ * mp.sin(th0)) + lam_ * (1 - mp.cos(th0))
+        step = mp.expm(k * mp.mpf(0.25))
+        psi, half, t, out = psi0, th0 / 2, mp.mpf(0), []
+        for target in times:
+            while t < target:
+                psi = step * psi
+                t += mp.mpf(0.25)
+                turn = mp.atan2(psi[1], psi[0]) - half
+                half += turn - 2 * mp.pi * mp.nint(turn / (2 * mp.pi))
+            exact = mp.expm(k * mp.mpf(target)) * psi0
+            turn = mp.atan2(exact[1], exact[0]) - half
+            theta = 2 * (half + turn - 2 * mp.pi * mp.nint(turn / (2 * mp.pi)))
+            p = (energy - lam_ * (1 - mp.cos(theta))) / (1 + lam_ * mp.sin(theta))
+            out.append((float(theta), float(p)))
+    return out
+
+
+@pytest.mark.parametrize("lam, theta0, p0", [
+    *EXACT_CASES,
+    (1.5, -math.asin(1.0 / 1.5) + 1e-9, 1.0),  # next to theta1: p_theta factor ~ 1e-9
+])
+def test_exact_path_matches_mpmath_expm(lam, theta0, p0):
+    times = (1.0, 10.0, 50.0, 100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StalledAtFixedPoint)
+        path = integrate_phase_path(PhasePoint(theta0, p0), PhaseParams(0.5, lam),
+                                    t_end=100.0, dt=0.5)
+    for t, (theta, p) in zip(times, _mp_reference(lam, theta0, p0, times)):
+        i = round(t / 0.5)
+        assert path.t[i] == t
+        assert abs(path.theta[i] - theta) <= 1e-11
+        assert abs(path.p_theta[i] - p) <= 1e-9 * max(1.0, abs(p))
+
+
+@pytest.mark.parametrize("coarse_dt", [0.5, 10.0])  # at 10 theta turns by more than 2 pi
+@pytest.mark.parametrize("lam, theta0, p0", EXACT_CASES)
+def test_exact_path_does_not_depend_on_the_sample_spacing(lam, theta0, p0, coarse_dt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StalledAtFixedPoint)
+        coarse, fine = (integrate_phase_path(PhasePoint(theta0, p0), PhaseParams(0.5, lam),
+                                             t_end=100.0, dt=dt) for dt in (coarse_dt, 1e-3))
+    every = round(coarse_dt / 1e-3)
+    assert np.max(np.abs(fine.t[::every] - coarse.t)) < 1e-12
+    assert np.max(np.abs(fine.theta[::every] - coarse.theta)) <= 1e-12
+    scale = np.maximum(1.0, np.abs(coarse.p_theta))
+    assert np.max(np.abs(fine.p_theta[::every] - coarse.p_theta) / scale) <= 1e-12
+
+
+def test_starts_on_the_critical_angles_stay_there_with_finite_momenta():
+    cps = critical_points(P15)
+    gamma, _ = stability_exponents(P15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StalledAtFixedPoint)
+        at_p1 = integrate_phase_path(PhasePoint(cps.theta1, 0.5), P15, t_end=20.0)
+        at_theta2 = integrate_phase_path(PhasePoint(cps.theta2, 0.5), P15, t_end=20.0)
+        at_rest = integrate_phase_path(cps.p1, P15, t_end=20.0)
+    for path, theta, rate in ((at_p1, cps.theta1, gamma), (at_theta2, cps.theta2, -gamma)):
+        assert np.all(path.theta == theta)
+        tan = math.tan(theta)
+        expected = (0.5 + tan) * np.exp(rate * path.t) - tan
+        assert np.max(np.abs(path.p_theta - expected) / np.abs(expected)) < 1e-12
+    assert np.all(np.isfinite(at_rest.p_theta))
+    assert np.all(at_rest.theta == cps.theta1)
+
+
+def test_a_phase_path_that_overflows_raises_non_finite_state():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StalledAtFixedPoint)
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteState, match=r"t = 634\.\d"):
+            integrate_phase_path(PhasePoint(0.0, 1.0), P15, t_end=700.0)
