@@ -7,7 +7,8 @@ functions themselves, and the kernels must give the same bytes.  The steps
 are coarse (dt 5e-3 to 1e-2): at dt = 1e-3 a one-ulp change in a stage is
 scaled by dt / 6 and mostly rounds away, so a regrouped sum could go unseen.
 The phase path is evaluated in closed form; the same RK4 through
-:func:`_kernels._phase_rhs` is kept here as its reference.
+:func:`_kernels._phase_rhs` is kept here as its reference, and the numpy form
+of ``_phase_rhs`` must step and evaluate to the bytes of the float form.
 """
 
 import math
@@ -54,6 +55,38 @@ def _rk4_reference(rhs, state, dt, n_steps):
         min_speed = min(min_speed, math.sqrt(sum(k * k for k in k1)))
         rows.append(state)
     return np.array(rows), min_speed
+
+
+def _phase_cases():
+    for lam in (0.5, 1.2, 1.5):
+        for theta0 in (0.0, -0.0, -3.0):
+            yield lam, theta0, -0.0, theta0, False
+            if lam >= 1.0:
+                ref = stable_angle(theta0, lam)
+                yield lam, theta0, ref, theta0 - ref, True
+
+
+@pytest.mark.parametrize("lam, theta0, theta_ref, u0, anchored", list(_phase_cases()))
+def test_phase_rk4_equals_rk4_through_phase_rhs_byte_for_byte(
+        lam, theta0, theta_ref, u0, anchored):
+    # integrate_phase_path scans its flow speed with the numpy form of
+    # _phase_rhs; stepped on arrays and evaluated on the rows it must give the
+    # bytes of the float form
+    omega_s, dt, p0 = 0.5, 1e-2, 0.0
+    ref, _ = _rk4_reference(
+        lambda u, p: _kernels._phase_rhs(u, p, omega_s, lam, theta_ref, anchored),
+        (u0, p0), dt, N_STEPS)
+    state, rows = (np.array([u0]), np.array([p0])), []
+    for _ in range(N_STEPS):
+        rows.append(state)
+        state, _ = _rk4_step(
+            lambda u, p: _kernels._phase_rhs(u, p, omega_s, lam, theta_ref, anchored, np),
+            state, dt)
+    rows.append(state)
+    assert np.array(rows)[:, :, 0].tobytes() == ref.tobytes()
+    rhs = _kernels._phase_rhs(ref[:, 0], ref[:, 1], omega_s, lam, theta_ref, anchored, np)
+    ref_rhs = [_kernels._phase_rhs(u, p, omega_s, lam, theta_ref, anchored) for u, p in ref]
+    assert np.column_stack(rhs).tobytes() == np.array(ref_rhs).tobytes()
 
 
 @pytest.mark.parametrize("lam, theta0, p0", [(0.5, 0.0, 1.0), (0.5, -3.0, 2.0), (1.0, 0.0, 1.0),
