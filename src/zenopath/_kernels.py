@@ -5,16 +5,19 @@ Every loop runs on builtin floats: arithmetic on numpy scalars costs several
 times as much per operation and gives the same IEEE results
 (notes/decisions.md, section 5).  The one exception is
 :func:`diffusive_walk_batch`, which steps a whole ensemble as one stacked
-(3, n) numpy array (section 6).  ``perfbench/`` times each kernel.
+(3, n) numpy array, each step through buffers made once per call so that it
+allocates nothing (section 6).  ``perfbench/`` times each scalar kernel.
 
 The two scalar RK4 loops, :func:`mlp_rk4` and :func:`diffusive_walk`, step
 one closure of :func:`mlp_rhs` or :func:`bloch_drift` with the constant
 products hoisted and the operation order kept, so their paths are
 bit-identical to stepping the pointwise formulas, which stay the definitions
-every other caller uses (``tests/test_kernels.py``).  All three scalar loops
-store each row through a flat ``memoryview`` of the output array, which costs
-about half as much as numpy's element writes.  The phase path has no loop:
-``phase.integrate_phase_path`` evaluates it in closed form.
+every other caller uses (``tests/test_kernels.py``).  The batch writes the
+same hoisted drift out as in-place numpy calls and is pinned column by column
+to :func:`diffusive_walk` (``tests/test_diffusive.py``).  All three scalar
+loops store each row through a flat ``memoryview`` of the output array, which
+costs about half as much as numpy's element writes.  The phase path has no
+loop: ``phase.integrate_phase_path`` evaluates it in closed form.
 """
 
 import math
@@ -140,8 +143,9 @@ def bloch_drift(x, y, z, omega_s, alpha, w=None):
 
     The one definition of the drift, for scalars and arrays alike.  w is
     r sqrt(alpha/tau) for a readout r and alpha (y p_x - x p_y) on the
-    most-likely path; the post-selected drift and the sampler's RK4 substep
-    have no rotation and pass none.
+    most-likely path; the post-selected drift has no rotation and passes
+    none.  The two diffusive walks step it without w, written out with its
+    constant products hoisted.
     """
     dx = -0.5 * alpha * x * z
     dy = -0.5 * alpha * y * z
@@ -205,7 +209,14 @@ def diffusive_walk_batch(x, y, z, omega_s, alpha, dt, dw):
     j.  Each element sees the operations of :func:`diffusive_walk` in the same
     order, so every state's path is bit-identical to its scalar walk.  Returns
     the paths as (n_steps + 1, 3, n): row k holds the n states (x, y, z) at
-    step k, row 0 being the start.
+    step k, row 0 being the start.  The inputs are only read: the result
+    shares no memory with them.
+
+    At short n the cost is the number of numpy calls, not of elements
+    (notes/decisions.md, section 6), so a step allocates nothing: the drift
+    is written out as in :func:`diffusive_walk`'s closure, every call writes
+    into a buffer made once per call and passed positionally, and every
+    constant is a 0-d array.
     """
     n_steps, n = dw.shape
     out = np.empty((n_steps + 1, 3, n))
@@ -213,20 +224,68 @@ def diffusive_walk_batch(x, y, z, omega_s, alpha, dt, dw):
     angle = sqrt(alpha) * dw
     cos_a = np.cos(angle)
     sin_a = np.sin(angle)
-    h = 0.5 * dt
-    rot = np.empty((3, n))
-    s = out[0]
-    for k in range(n_steps):
-        k1 = np.array(bloch_drift(*s, omega_s, alpha))
-        k2 = np.array(bloch_drift(*(s + h * k1), omega_s, alpha))
-        k3 = np.array(bloch_drift(*(s + h * k2), omega_s, alpha))
-        k4 = np.array(bloch_drift(*(s + dt * k3), omega_s, alpha))
-        xn, yn, rot[2] = s + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        c, sn = cos_a[k], sin_a[k]
-        np.add(c * xn, sn * yn, out=rot[0])
-        np.subtract(c * yn, sn * xn, out=rot[1])
-        sq = rot * rot
-        s = np.divide(rot, np.sqrt(sq[0] + sq[1] + sq[2]), out=out[k + 1])
+    h, step, nha, ha, tw, one, two, six = (
+        np.array(c)
+        for c in (0.5 * dt, dt, -0.5 * alpha, 0.5 * alpha, 2.0 * omega_s, 1.0, 2.0, 6.0)
+    )
+    k = np.empty((4, 3, n))  # the stages k1 .. k4, rows x, y, z
+    q = np.empty((3, n))  # a stage's input s + h k, then the rotation's products
+    tw_yz = np.empty((2, n))  # tw y and tw z
+    acc = np.empty((3, n))  # the RK4 sum, then the new state before renormalizing
+    sq = np.empty((3, n))
+    norm = np.empty(n)
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    k1, k2, k3, k4 = k
+    k_rows = [(kj[:2], kj[0], kj[1], kj[2]) for kj in k]
+    q_rows = q[:2], q[2], q[1:]
+    stages = ((k1, h, k_rows[1]), (k2, h, k_rows[2]), (k3, step, k_rows[3]))
+    tw_y, tw_z = tw_yz
+    acc_x, acc_y, _ = acc
+    sn_y, sn_x, _ = q
+    k23 = k[1:3]
+    sq_x, sq_y, sq_z = sq
+
+    def drift(s_rows, kj_rows):
+        # nha x z, nha y z - tw z and ha (1 - z z) + tw y, in the scalar order
+        xy, z, yz = s_rows
+        kxy, kx, ky, kz = kj_rows
+        mul(nha, xy, kxy)
+        mul(kx, z, kx)
+        mul(ky, z, ky)
+        mul(tw, yz, tw_yz)
+        sub(ky, tw_z, ky)
+        mul(z, z, kz)
+        sub(one, kz, kz)
+        mul(ha, kz, kz)
+        add(kz, tw_y, kz)
+
+    for c, sn, s, nxt in zip(cos_a, sin_a, out, out[1:]):
+        drift((s[:2], s[2], s[1:]), k_rows[0])
+        for k_prev, hk, k_next in stages:
+            mul(hk, k_prev, q)
+            add(s, q, q)
+            drift(q_rows, k_next)
+        # s + dt (k1 + 2 k2 + 2 k3 + k4) / 6; k2 and k3 are doubled in place
+        mul(two, k23, k23)
+        add(k1, k2, acc)
+        add(acc, k3, acc)
+        add(acc, k4, acc)
+        mul(step, acc, acc)
+        div(acc, six, acc)
+        add(s, acc, acc)
+        # the readout's rotation: x <- c x + sn y, y <- c y - sn x
+        mul(sn, acc_y, sn_y)
+        mul(sn, acc_x, sn_x)
+        mul(c, acc_x, acc_x)
+        add(acc_x, sn_y, acc_x)
+        mul(c, acc_y, acc_y)
+        sub(acc_y, sn_x, acc_y)
+        # divide by sqrt((x x + y y) + z z)
+        mul(acc, acc, sq)
+        add(sq_x, sq_y, norm)
+        add(norm, sq_z, norm)
+        np.sqrt(norm, norm)
+        div(acc, norm, nxt)
     return out
 
 

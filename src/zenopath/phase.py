@@ -240,16 +240,20 @@ def integrate_phase_path(
     the closed-form solution at its time, and p_theta is read off the energy
     curve through the start (notes/decisions.md, section 1).  For lam >= 1
     the angle is carried as the deviation from :func:`stable_angle` (see
-    :class:`PhasePath`).  Raises NonFiniteState at the first sample whose
-    theta or p_theta is not finite.  Emits ``StalledAtFixedPoint`` when the
-    flow speed at a sample is below 1e-10 and a warning when the path passes
-    within 1e-6 of a critical point (informational, not fatal).
+    :class:`PhasePath`).  Raises NonFiniteState at t = 0 for a non-finite
+    start, and otherwise at the first sample whose theta or p_theta is not
+    finite.  Emits ``StalledAtFixedPoint`` when the flow speed at a sample is
+    below 1e-10 and a warning when the path passes within 1e-6 of a critical
+    point (informational, not fatal).
     """
     if dt is None:
         dt = 1e-3 / params.omega_s
     _, t = _kernels.time_grid(dt, t_end)
     omega_s, lam = params.omega_s, params.lam
     theta0, p0 = start.theta, start.p_theta
+    if not (math.isfinite(theta0) and math.isfinite(p0)):
+        raise NonFiniteState(f"the phase path starts outside the floating-point range at t = 0: "
+                             f"theta = {theta0!r}, p_theta = {p0!r}")
     anchored = lam >= 1.0
     if anchored:
         theta_ref = stable_angle(theta0, lam)

@@ -391,6 +391,38 @@ def test_batch_kernel_columns_equal_scalar_walk_byte_for_byte(lam, gaussian):
             assert block[:, :, j].tobytes() == walk.tobytes()
 
 
+@pytest.mark.parametrize("n_steps", [0, 1])
+def test_batch_kernel_of_one_state_and_at_most_one_step_equals_scalar_walk(n_steps):
+    # n = 1 makes every buffer one element long; n_steps = 0 returns the start row alone
+    omega_s, alpha, dt = 0.5, 3.0, 1e-2
+    dw = WienerStream(seed=7, dt=dt, gaussian=True).increments(1)[:n_steps]
+    block = _kernels.diffusive_walk_batch(
+        np.array([0.0]), np.array([0.6]), np.array([0.8]), omega_s, alpha, dt, dw[:, None]
+    )
+    walk = _kernels.diffusive_walk(0.0, 0.6, 0.8, omega_s, alpha, dt, dw)
+    assert block.shape == (n_steps + 1, 3, 1)
+    assert block[:, :, 0].tobytes() == walk.tobytes()
+
+
+def test_batch_kernel_reads_its_inputs_and_returns_fresh_memory():
+    # ensemble_stats passes each block's last row back in as x, y, z
+    omega_s, alpha, dt, n_steps, n = 0.5, 3.0, 1e-3, 9, 4
+    dw = np.array([
+        WienerStream(seed=80 + j, dt=dt, gaussian=False).increments(n_steps) for j in range(n)
+    ]).T
+    x, y, z = np.zeros(n), np.full(n, 0.6), np.full(n, 0.8)
+    inputs = [x, y, z, dw]
+    before = [a.copy() for a in inputs]
+    first = _kernels.diffusive_walk_batch(x, y, z, omega_s, alpha, dt, dw)
+    second = _kernels.diffusive_walk_batch(*first[-1], omega_s, alpha, dt, dw)
+    for a, b in zip(inputs, before):
+        assert a.tobytes() == b.tobytes()
+    assert first[-1].tobytes() == second[0].tobytes()
+    assert not np.shares_memory(first, second)
+    for result in (first, second):
+        assert not any(np.shares_memory(result, a) for a in inputs)
+
+
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_wiener_chunks_concatenate_to_increments(gaussian):
     stream = WienerStream(seed=11, dt=1e-3, gaussian=gaussian)

@@ -381,3 +381,10 @@ def test_a_phase_path_that_overflows_raises_non_finite_state():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteState, match=r"t = 634\.\d"):
             integrate_phase_path(PhasePoint(0.0, 1.0), P15, t_end=700.0)
+
+
+@pytest.mark.parametrize("theta0", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("lam", [0.5, 1.5])
+def test_a_non_finite_start_raises_non_finite_state_at_t_0(lam, theta0):
+    with pytest.raises(NonFiniteState, match=r"at t = 0\b"):
+        integrate_phase_path(PhasePoint(theta0, 1.0), PhaseParams(omega_s=0.5, lam=lam), t_end=1.0)
