@@ -9,10 +9,12 @@ invalid configuration (a non-finite value or a config value of the wrong kind
 included) or an unwritable output path, 3 numerical failure (the message
 names the underlying error; a table that fails part way through, such as a
 most-likely path that leaves the floating-point range, is removed and no
-sidecar is written).
+sidecar is written).  So is a table whose writing, or whose sidecar's, fails
+with exit 2; a path the run cannot open is left as it was.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -22,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._csv import float_rows
 from .errors import CurveSingularity, ZenoPathError
 from .measurement import BlochState
 from .phase import (
@@ -44,9 +47,26 @@ from .diffusive import (
     sample_trajectory,
 )
 
-#: Rows formatted per write: the text of one block is all the writer holds.
+#: Rows of a block: of the most-likely path's pieces, and per JSON write.
 _BLOCK_ROWS = 1024
+#: Rows per CSV write of float cells, formatted in one numpy pass: the
+#: temporaries of 256 rows stay in cache and in the memory of one text block.
+_CSV_ROWS = 256
 _CSV_FLOAT = "%.17g"
+
+
+@contextlib.contextmanager
+def _created(path: Path):
+    """``path`` opened for writing bytes, and removed again if the writing
+    fails, so that no partial file is left; a path that cannot be opened is
+    left as it was."""
+    fh = open(path, "wb")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def _write_table(path: Path, columns, rows, fmt: str) -> int:
@@ -54,48 +74,54 @@ def _write_table(path: Path, columns, rows, fmt: str) -> int:
 
     ``rows`` is a 2-d float array, an iterable of 2-d float arrays (blocks of
     consecutive rows, consumed once), or a short list of row tuples for the
-    tables with string cells.  Rows are formatted a block of at most
-    ``_BLOCK_ROWS`` at a time: CSV with ``.17g`` floats and ``csv.writer``'s
-    row end ``\\r\\n``, JSON in the layout of ``json.dump(indent=1)`` with
-    ``repr`` floats.
+    tables with string cells.  Rows are formatted and written a block at a
+    time: CSV with ``.17g`` floats (``_csv.float_rows``, ``_CSV_ROWS`` rows at
+    a time) and ``csv.writer``'s row end ``\\r\\n``, JSON ``_BLOCK_ROWS`` rows at
+    a time in the layout of ``json.dump(indent=1)`` with ``repr`` floats.  A
+    table that fails part way through is removed.
     """
-    cell = _CSV_FLOAT if fmt == "csv" and not isinstance(rows, list) else "%s"
     n_rows = 0
-    with open(path, "w", newline="") as fh:
+    with _created(path) as fh:
         if fmt == "csv":
-            fh.write(",".join(columns) + "\r\n")
-            row, sep, lead = ",".join([cell] * len(columns)) + "\r\n", "", ""
-        else:
-            fh.write('{\n "columns": [\n' + ",\n".join("  " + json.dumps(c) for c in columns)
-                     + '\n ],\n "rows": [')
-            row = "  [\n" + ",\n".join(["   " + cell] * len(columns)) + "\n  ]"
-            sep, lead = ",\n", "\n"
-        for k, cells in _cell_blocks(rows, fmt):
-            fh.write(lead + sep.join([row] * k) % tuple(cells))
-            lead = sep
-            n_rows += k
-        if fmt == "json":
-            fh.write("\n ]\n}\n" if n_rows else "]\n}\n")
+            fh.write((",".join(columns) + "\r\n").encode())
+            for block in _row_blocks(rows, _CSV_ROWS):
+                if isinstance(block, np.ndarray):
+                    fh.write(float_rows(block))
+                else:  # string cells
+                    fh.write("".join(",".join(v if isinstance(v, str) else _CSV_FLOAT % v
+                                              for v in row) + "\r\n" for row in block).encode())
+                n_rows += len(block)
+            return n_rows
+        fh.write(('{\n "columns": [\n' + ",\n".join("  " + json.dumps(c) for c in columns)
+                  + '\n ],\n "rows": [').encode())
+        row, lead = "  [\n" + ",\n".join(["   %s"] * len(columns)) + "\n  ]", "\n"
+        for block in _row_blocks(rows, _BLOCK_ROWS):
+            fh.write((lead + ",\n".join([row] * len(block)) % tuple(_json_cells(block))).encode())
+            lead = ",\n"
+            n_rows += len(block)
+        fh.write(("\n ]\n}\n" if n_rows else "]\n}\n").encode())
     return n_rows
 
 
-def _cell_blocks(rows, fmt: str):
-    """(row count, flat cell values) for each block of rows."""
+def _row_blocks(rows, size: int):
+    """The rows in blocks of at most ``size``; a list of row tuples is one."""
     if isinstance(rows, list):
-        if rows:  # string-cell tables: one block, every cell formatted here
-            yield len(rows), [
-                json.dumps(v) if fmt == "json" else v if isinstance(v, str) else _CSV_FLOAT % v
-                for r in rows for v in r
-            ]
+        if rows:
+            yield rows
         return
     for table in (rows,) if isinstance(rows, np.ndarray) else rows:
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start:start + _BLOCK_ROWS]
-            cells = block.ravel().tolist()
-            if fmt == "json":
-                for i in np.flatnonzero(~np.isfinite(block.ravel())):
-                    cells[i] = json.dumps(cells[i])  # NaN, Infinity, -Infinity
-            yield len(block), cells
+        for start in range(0, len(table), size):
+            yield table[start:start + size]
+
+
+def _json_cells(block) -> list:
+    """The cells of a block in row order: JSON text, or floats for ``%s``."""
+    if isinstance(block, list):
+        return [json.dumps(v) for row in block for v in row]
+    cells = block.ravel().tolist()
+    for i in np.flatnonzero(~np.isfinite(block.ravel())):
+        cells[i] = json.dumps(cells[i])  # NaN, Infinity, -Infinity
+    return cells
 
 
 def _write_sidecar(path: Path, command: str, resolved: dict):
@@ -105,9 +131,8 @@ def _write_sidecar(path: Path, command: str, resolved: dict):
         "zenopath_version": __version__,
         "config": resolved,
     }
-    with open(sidecar, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    with _created(sidecar) as fh:
+        fh.write((json.dumps(payload, indent=1, sort_keys=True) + "\n").encode())
 
 
 def _load_config(path: str) -> dict:
@@ -446,9 +471,12 @@ def main(argv=None) -> int:
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         n_rows = _write_table(out_path, columns, rows, args.format)
-        _write_sidecar(out_path, args.command, resolved)
-    except ZenoPathError as exc:  # raised by a table streamed in blocks: drop its rows so far
-        out_path.unlink(missing_ok=True)
+        try:
+            _write_sidecar(out_path, args.command, resolved)
+        except OSError:
+            out_path.unlink(missing_ok=True)  # this run's table, which cannot be rerun without it
+            raise
+    except ZenoPathError as exc:  # raised by a table streamed in blocks, which is removed
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

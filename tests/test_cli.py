@@ -180,14 +180,18 @@ def test_ensemble_n_eff_exact_for_equal_weights(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_writer_matches_csv_and_json_modules(tmp_path, monkeypatch, fmt):
-    # blocks of 4 rows: 10 rows end on a partial block; non-finite cells included
+    # blocks of 4 rows: 12 rows end on a partial block; non-finite cells included
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+    monkeypatch.setattr(cli, "_CSV_ROWS", 4)
     table = np.linspace(-3.0, 3.0, 30).reshape(10, 3) ** 3 / 7.0
     table[2, 1], table[7, 0], table[9, 2] = math.nan, math.inf, -math.inf
+    # signed zeros, the least subnormal, a 3-digit exponent, an exact tie at the
+    # 18th digit (rounded half to even) and an integer beyond 2^53
+    table = np.vstack((table, [[-0.0, 0.0, 5e-324], [1e100, 2**-25, 123456789012345678.0]]))
     short = [("P1", 0.1, -0.0), ("P2", 1e-300, 2.5)]
     # the same table as an iterator of blocks smaller than, equal to and larger
     # than the writer's block
-    streamed = [iter(np.split(table, range(size, 10, size))) for size in (1, 3, 4, 10)]
+    streamed = [iter(np.split(table, range(size, 12, size))) for size in (1, 3, 4, 12)]
     for columns, rows, plain in (
         (["a", "b", "c"], table, table.tolist()),
         *((["a", "b", "c"], blocks, table.tolist()) for blocks in streamed),
@@ -226,6 +230,30 @@ def test_unwritable_output_exit_code(tmp_path, capsys):
     rc = main(["transition-time", "-o", str(tmp_path)])  # an existing directory
     assert rc == 2
     assert capsys.readouterr().err.startswith("error[output]")
+
+
+def test_unwritable_sidecar_removes_the_table_but_not_the_sidecar_path(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    (tmp_path / "t.config.json").mkdir()  # a sidecar that cannot be opened
+    assert main(["transition-time", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error[output]")
+    assert not out.exists()
+    assert (tmp_path / "t.config.json").is_dir()
+    # an output the run cannot open is left as it was
+    assert main(["transition-time", "-o", str(tmp_path / "t.config.json")]) == 2
+    assert (tmp_path / "t.config.json").is_dir()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_error_part_way_through_removes_the_table(tmp_path, fmt):
+    def blocks():
+        yield np.ones((3, 2))
+        raise OSError(28, "No space left on device")
+
+    path = tmp_path / f"t.{fmt}"
+    with pytest.raises(OSError):
+        cli._write_table(path, ["a", "b"], blocks(), fmt)
+    assert not path.exists()
 
 
 def test_json_floats_read_back_identical(tmp_path):
@@ -341,6 +369,22 @@ def test_mlp_memory_does_not_grow_with_the_path(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks["3"] < 1.5 * peaks["0.5"], peaks
+
+
+def test_table_writer_memory_does_not_grow_with_the_table(tmp_path):
+    # 8x the blocks may not take 1.5x the peak memory (bound fixed before the
+    # first run, as for the most-likely path above)
+    block = np.random.default_rng(18).standard_normal((1024, 9))
+    peaks = {}
+    for n_blocks in (160, 20):  # the longer table first: one-off allocations count against it
+        tracemalloc.start()
+        try:
+            assert cli._write_table(tmp_path / f"w{n_blocks}.csv", list("abcdefghi"),
+                                    (block for _ in range(n_blocks)), "csv") == 1024 * n_blocks
+            peaks[n_blocks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[160] < 1.5 * peaks[20], peaks
 
 
 def _exit_code(argv):
