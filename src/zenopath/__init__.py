@@ -19,16 +19,9 @@ from .errors import (
 )
 from .measurement import (
     BlochState,
-    DensityMatrix,
-    KrausPair,
     MeasurementParams,
-    bloch_from_density,
-    density_from_bloch,
     drift_rhs,
-    kraus_pair,
     mc_zeno_trajectory,
-    postselected_step,
-    unitary_step,
 )
 from .phase import (
     CriticalPointSet,

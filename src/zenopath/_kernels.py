@@ -17,10 +17,10 @@ same hoisted drift out as in-place numpy calls and is pinned column by column
 to :func:`diffusive_walk` (``tests/test_diffusive.py``).  All three scalar
 loops store each row through a flat ``memoryview`` of the output array, which
 costs about half as much as numpy's element writes.  The phase path has no
-loop: ``phase.integrate_phase_path`` evaluates it in closed form.
+loop: ``phase.integrate_phase_path`` evaluates it in closed form, and its
+formulas live in ``phase``.
 """
 
-import math
 import warnings
 from math import cos, isfinite, sin, sqrt
 
@@ -105,36 +105,6 @@ def zeno_walk(x, y, z, omega_s, j_coupling, dt, n_steps):
         buf[i + 2] = z
         i += 3
     return out
-
-
-def nullcline_factor(u, lam, theta_ref, anchored, xp=math):
-    """The factor 1 + lam sin(theta) of the reduced flow, at theta = theta_ref + u.
-
-    Anchored (lam >= 1, theta_ref a zero of the factor: sin(theta_ref) = -1/lam)
-    it is evaluated as 2 lam cos(theta_ref + u/2) sin(u/2), which keeps its
-    relative precision as u -> 0 where the plain sum cancels to nothing.
-    Unanchored it is the plain sum; theta_ref = -0.0 then makes theta_ref + u
-    exactly u.  ``xp`` supplies cos and sin: ``math`` for floats, ``numpy``
-    for arrays (this and the two functions below).
-    """
-    if anchored:
-        return 2.0 * lam * xp.cos(theta_ref + 0.5 * u) * xp.sin(0.5 * u)
-    return 1.0 + lam * xp.sin(theta_ref + u)
-
-
-def _phase_rhs(u, p_theta, omega_s, lam, theta_ref, anchored, xp=math):
-    theta = theta_ref + u
-    dtheta = -2.0 * omega_s * nullcline_factor(u, lam, theta_ref, anchored, xp)
-    dp = 2.0 * omega_s * lam * (p_theta * xp.cos(theta) + xp.sin(theta))
-    return dtheta, dp
-
-
-def phase_hamiltonian(u, p_theta, omega_s, lam, theta_ref, anchored, xp=math):
-    """H = -2 Omega_s [p_theta (1 + lam sin theta) + lam (1 - cos theta)]."""
-    return -2.0 * omega_s * (
-        p_theta * nullcline_factor(u, lam, theta_ref, anchored, xp)
-        + lam * (1.0 - xp.cos(theta_ref + u))
-    )
 
 
 def bloch_drift(x, y, z, omega_s, alpha, w=None):

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     EpsilonTooLarge,
     IntegrandSingular,
     SingularEndpoint,
     UnsupportedLambda,
 )
-from .phase import critical_angles
+from .phase import critical_angles, nullcline_factor
 
 _QUAD_ABS_TOL = 1e-10
 _ENDPOINT_TOL = 1e-9
@@ -47,7 +46,7 @@ def _check_lambda(lam: float):
 
 
 def _integrand(theta: float, lam: float) -> float:
-    return lam * (1.0 - math.cos(theta)) / _kernels.nullcline_factor(theta, lam, -0.0, False)
+    return lam * (1.0 - math.cos(theta)) / nullcline_factor(theta, lam, -0.0, False)
 
 
 def _branch(theta: float):
@@ -83,7 +82,7 @@ def _antiderivative(theta: float, lam: float) -> float:
         )
     s = math.sqrt(lam * lam - 1.0)
     return -(lam / s) * math.log(abs((s + lam + t) / (s - lam - t))) - math.log(
-        abs(_kernels.nullcline_factor(u, lam, -0.0, False))
+        abs(nullcline_factor(u, lam, -0.0, False))
     )
 
 
@@ -179,7 +178,7 @@ def _segment_time(a: float, b: float, lam: float, omega_s: float) -> float:
     from scipy import integrate
 
     value, _ = integrate.quad(
-        lambda th: 1.0 / abs(2.0 * omega_s * _kernels.nullcline_factor(th, lam, -0.0, False)),
+        lambda th: 1.0 / abs(2.0 * omega_s * nullcline_factor(th, lam, -0.0, False)),
         a, b, epsabs=1e-12, epsrel=1e-10, limit=500,
     )
     return abs(value)

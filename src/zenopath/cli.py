@@ -10,11 +10,13 @@ included) or an unwritable output path, 3 numerical failure (the message
 names the underlying error; a table that fails part way through, such as a
 most-likely path that leaves the floating-point range, is removed and no
 sidecar is written).  So is a table whose writing, or whose sidecar's, fails
-with exit 2; a path the run cannot open is left as it was.
+with exit 2; a path the run cannot open is left as it was.  A failed run also
+removes the output directories it made.
 """
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -66,6 +68,21 @@ def _created(path: Path):
             yield fh
     except BaseException:
         path.unlink(missing_ok=True)
+        raise
+
+
+@contextlib.contextmanager
+def _parent_dirs(path: Path):
+    """Make the missing parent directories of ``path``, and remove the ones
+    made here again if the body fails; one that is no longer empty is kept."""
+    made = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        yield
+    except BaseException:
+        for d in made:  # deepest first
+            with contextlib.suppress(OSError):
+                d.rmdir()
         raise
 
 
@@ -469,13 +486,14 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        n_rows = _write_table(out_path, columns, rows, args.format)
-        try:
-            _write_sidecar(out_path, args.command, resolved)
-        except OSError:
-            out_path.unlink(missing_ok=True)  # this run's table, which cannot be rerun without it
-            raise
+        with _parent_dirs(out_path):
+            n_rows = _write_table(out_path, columns, rows, args.format)
+            try:
+                _write_sidecar(out_path, args.command, resolved)
+            except OSError:
+                # this run's table, which cannot be rerun without it
+                out_path.unlink(missing_ok=True)
+                raise
     except ZenoPathError as exc:  # raised by a table streamed in blocks, which is removed
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3

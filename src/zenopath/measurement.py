@@ -16,10 +16,6 @@ the Bloch coordinates follow the drift
     z' =  2 Omega_s (lam (1 - z^2) + y)
 
 where lam = alpha / (4 Omega_s) controls the Zeno crossover at lam = 1.
-
-Sign convention: ``unitary_step`` returns exactly
-cos(Omega_s dt) I - i sin(Omega_s dt) sigma_x, so Omega_s dt = pi/2 gives
--i sigma_x.  The global phase is irrelevant for every density-matrix update.
 """
 
 import math
@@ -29,13 +25,9 @@ from typing import Protocol
 import numpy as np
 
 from . import _kernels
-from ._kernels import TRACE_FLOOR  # re-exported: the floor postselected_step applies
-from .errors import InvalidState, NormalizationUnderflow
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+from .errors import InvalidState
 
 _BLOCH_NORM_TOL = 1e-9
-_MATRIX_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,39 +49,6 @@ class BlochState:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """2x2 qubit density matrix; Hermiticity, unit trace and positivity are
-    enforced at construction (tolerance 1e-12)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise InvalidState(f"density matrix must be 2x2, got {m.shape}")
-        object.__setattr__(self, "matrix", m)
-        if np.max(np.abs(m - m.conj().T)) > _MATRIX_TOL:
-            raise InvalidState("density matrix is not Hermitian to 1e-12")
-        if abs(np.trace(m).real - 1.0) > _MATRIX_TOL or abs(np.trace(m).imag) > _MATRIX_TOL:
-            raise InvalidState("density matrix trace differs from 1 beyond 1e-12")
-        if np.min(np.linalg.eigvalsh(m)) < -_MATRIX_TOL:
-            raise InvalidState("density matrix has an eigenvalue below -1e-12")
-
-
-@dataclass(frozen=True)
-class KrausPair:
-    """Null/click measurement operator pair for the repeated ancilla readout."""
-
-    m0: np.ndarray
-    m1: np.ndarray
-
-    def completeness_defect(self) -> float:
-        """Max-norm of m0^dag m0 + m1^dag m1 - I."""
-        s = self.m0.conj().T @ self.m0 + self.m1.conj().T @ self.m1
-        return float(np.max(np.abs(s - np.eye(2))))
 
 
 @dataclass
@@ -121,65 +80,6 @@ class MeasurementParams:
             raise ValueError("lam must be nonnegative")
         j = math.sqrt(4.0 * omega_s * lam / dt)
         return cls(omega_s=omega_s, j_coupling=j, dt=dt)
-
-
-def kraus_pair(j_coupling: float, dt: float) -> KrausPair:
-    """Measurement operators M0 = diag(1, cos(J dt)), M1 = [[0,0],[0,sin(J dt)]]."""
-    if dt < 0.0:
-        raise ValueError("dt must be nonnegative")
-    c = math.cos(j_coupling * dt)
-    s = math.sin(j_coupling * dt)
-    m0 = np.array([[1.0, 0.0], [0.0, c]], dtype=complex)
-    m1 = np.array([[0.0, 0.0], [0.0, s]], dtype=complex)
-    return KrausPair(m0=m0, m1=m1)
-
-
-def unitary_step(omega_s: float, dt: float) -> np.ndarray:
-    """One Rabi step U = cos(Omega_s dt) I - i sin(Omega_s dt) sigma_x."""
-    if dt < 0.0:
-        raise ValueError("dt must be nonnegative")
-    phi = omega_s * dt
-    return math.cos(phi) * np.eye(2, dtype=complex) - 1.0j * math.sin(phi) * SIGMA_X
-
-
-def postselected_step(rho: DensityMatrix, params: MeasurementParams) -> DensityMatrix:
-    """Advance rho by one unitary + null-outcome measurement step.
-
-    Raises
-    ------
-    NormalizationUnderflow
-        If the post-selection trace denominator is <= 1e-15.
-    """
-    u = unitary_step(params.omega_s, params.dt)
-    m0 = kraus_pair(params.j_coupling, params.dt).m0
-    evolved = m0 @ u @ rho.matrix @ u.conj().T @ m0.conj().T
-    trace = np.trace(evolved).real
-    if trace <= TRACE_FLOOR:
-        raise NormalizationUnderflow(
-            f"post-selection trace {trace:.3e} <= {TRACE_FLOOR:.0e}"
-        )
-    return DensityMatrix(evolved / trace)
-
-
-def bloch_from_density(rho: DensityMatrix) -> BlochState:
-    """Extract (x, y, z) from rho = (I + x sigma_x + y sigma_y + z sigma_z)/2."""
-    m = rho.matrix
-    return BlochState(
-        x=2.0 * m[0, 1].real,
-        y=-2.0 * m[0, 1].imag,
-        z=(m[0, 0] - m[1, 1]).real,
-    )
-
-
-def density_from_bloch(b: BlochState) -> DensityMatrix:
-    """Inverse of :func:`bloch_from_density`; raises InvalidState outside the sphere."""
-    return DensityMatrix(
-        0.5
-        * np.array(
-            [[1.0 + b.z, b.x - 1.0j * b.y], [b.x + 1.0j * b.y, 1.0 - b.z]],
-            dtype=complex,
-        )
-    )
 
 
 class BlochPoint(Protocol):

@@ -71,11 +71,39 @@ class CriticalPointSet:
         return PhasePoint(self.theta2, self.p_theta2)
 
 
+def nullcline_factor(u, lam, theta_ref, anchored, xp=math):
+    """The factor 1 + lam sin(theta) of the reduced flow, at theta = theta_ref + u.
+
+    Anchored (lam >= 1, theta_ref a zero of the factor: sin(theta_ref) = -1/lam)
+    it is evaluated as 2 lam cos(theta_ref + u/2) sin(u/2), which keeps its
+    relative precision as u -> 0 where the plain sum cancels to nothing.
+    Unanchored it is the plain sum; theta_ref = -0.0 then makes theta_ref + u
+    exactly u.  ``xp`` supplies cos and sin: ``math`` for floats, ``numpy``
+    for arrays (this and the two functions below).
+    """
+    if anchored:
+        return 2.0 * lam * xp.cos(theta_ref + 0.5 * u) * xp.sin(0.5 * u)
+    return 1.0 + lam * xp.sin(theta_ref + u)
+
+
+def _phase_rhs(u, p_theta, omega_s, lam, theta_ref, anchored, xp=math):
+    theta = theta_ref + u
+    dtheta = -2.0 * omega_s * nullcline_factor(u, lam, theta_ref, anchored, xp)
+    dp = 2.0 * omega_s * lam * (p_theta * xp.cos(theta) + xp.sin(theta))
+    return dtheta, dp
+
+
+def phase_hamiltonian(u, p_theta, omega_s, lam, theta_ref, anchored, xp=math):
+    """H = -2 Omega_s [p_theta (1 + lam sin theta) + lam (1 - cos theta)]."""
+    return -2.0 * omega_s * (
+        p_theta * nullcline_factor(u, lam, theta_ref, anchored, xp)
+        + lam * (1.0 - xp.cos(theta_ref + u))
+    )
+
+
 def cdj_hamiltonian(p: PhasePoint, params: PhaseParams) -> float:
     """H = -2 Omega_s [p_theta (1 + lam sin theta) + lam (1 - cos theta)]."""
-    return _kernels.phase_hamiltonian(
-        p.theta, p.p_theta, params.omega_s, params.lam, -0.0, False
-    )
+    return phase_hamiltonian(p.theta, p.p_theta, params.omega_s, params.lam, -0.0, False)
 
 
 def energy_level(p: PhasePoint, params: PhaseParams) -> float:
@@ -85,7 +113,7 @@ def energy_level(p: PhasePoint, params: PhaseParams) -> float:
 
 def hamilton_rhs(p: PhasePoint, params: PhaseParams):
     """(d theta/dt, d p_theta/dt) = (dH/dp_theta, -dH/dtheta)."""
-    return _kernels._phase_rhs(p.theta, p.p_theta, params.omega_s, params.lam, -0.0, False)
+    return _phase_rhs(p.theta, p.p_theta, params.omega_s, params.lam, -0.0, False)
 
 
 def hamilton_jacobian(p: PhasePoint, params: PhaseParams) -> np.ndarray:
@@ -101,7 +129,7 @@ def hamilton_jacobian(p: PhasePoint, params: PhaseParams) -> np.ndarray:
 
 def p_theta_curve(theta: float, lam: float, e: float) -> float:
     """Momentum on the energy-E curve: (E - lam (1 - cos theta)) / (1 + lam sin theta)."""
-    denom = _kernels.nullcline_factor(theta, lam, -0.0, False)
+    denom = nullcline_factor(theta, lam, -0.0, False)
     if abs(denom) <= 1e-12:
         raise CurveSingularity(
             f"1 + lam*sin(theta) = {denom:.3e} at theta = {theta:.6f}"
@@ -167,14 +195,11 @@ class PhasePath:
     def __len__(self):
         return len(self.t)
 
-    def point(self, i: int) -> PhasePoint:
-        return PhasePoint(float(self.theta[i]), float(self.p_theta[i]))
-
     def hamiltonian(self, params: PhaseParams) -> np.ndarray:
         """H at every sample, with the nullcline factor the path was evaluated with."""
         anchored = self.deviation is not None
         u = self.deviation if anchored else self.theta
-        return _kernels.phase_hamiltonian(
+        return phase_hamiltonian(
             u, self.p_theta, params.omega_s, params.lam, self.theta_ref, anchored, np
         )
 
@@ -278,16 +303,16 @@ def integrate_phase_path(
             # p factor = p0 factor0 + lam (cos theta - cos theta0) on the
             # energy curve, with the difference of cosines as a product
             half = 0.5 * (u - u0)
-            p = (p0 * _kernels.nullcline_factor(u0, lam, theta_ref, anchored)
+            p = (p0 * nullcline_factor(u0, lam, theta_ref, anchored)
                  - 2.0 * lam * np.sin(theta0 + half) * np.sin(half)
-                 ) / _kernels.nullcline_factor(u, lam, theta_ref, anchored, np)
+                 ) / nullcline_factor(u, lam, theta_ref, anchored, np)
         theta = theta_ref + u
         bad = ~(np.isfinite(theta) & np.isfinite(p))
         if bad.any():
             raise NonFiniteState(
                 f"the phase path left the floating-point range at t = {t[np.argmax(bad)]:.6g}"
             )
-        speed = np.hypot(*_kernels._phase_rhs(u, p, omega_s, lam, theta_ref, anchored, np))
+        speed = np.hypot(*_phase_rhs(u, p, omega_s, lam, theta_ref, anchored, np))
     _kernels.warn_if_stalled(float(np.min(speed)))
     if lam > 1.0:
         cps = critical_points(params)

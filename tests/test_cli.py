@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zenopath import cli
+from zenopath import NonFiniteState, cli
 from zenopath.cli import main
 
 
@@ -254,6 +254,23 @@ def test_write_error_part_way_through_removes_the_table(tmp_path, fmt):
     with pytest.raises(OSError):
         cli._write_table(path, ["a", "b"], blocks(), fmt)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("error, code", [(OSError(28, "No space left on device"), 2),
+                                         (NonFiniteState("left the float range"), 3)])
+def test_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch, error, code):
+    def handler(args):
+        def blocks():
+            yield np.ones((3, 2))
+            raise error
+
+        return ["a", "b"], blocks()
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, "mlp", (handler, *cli._SUBCOMMANDS["mlp"][1:]))
+    (tmp_path / "old").mkdir()
+    out = tmp_path / "old" / "new" / "sub" / "m.csv"
+    assert main(["mlp", "-o", str(out)]) == code
+    assert list(tmp_path.rglob("*")) == [tmp_path / "old"]
 
 
 def test_json_floats_read_back_identical(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import expm
 
+from qubit_reference import SIGMA_X, bloch_from_density, density_from_bloch
 from zenopath import (
     BlochState,
     DiffusiveParams,
@@ -33,7 +34,6 @@ from zenopath import (
 from zenopath import _kernels, diffusive
 
 P1 = np.diag([0.0, 1.0]).astype(complex)
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 PARAMS_15 = DiffusiveParams.from_lambda(omega_s=0.5, lam=1.5, tau=100.0)
 GENERIC_IC = ExtendedState(0.0, 0.4, 0.916, 0.5, 0.3, 0.2)
@@ -77,20 +77,15 @@ def test_sme_rhs_z_component_vanishes_at_critical_point():
 
 def _kraus_step(b, r, params, dt):
     # Gaussian-readout measurement operator, conditioned and normalized
-    rho = 0.5 * np.array(
-        [[1 + b.z, b.x - 1j * b.y], [b.x + 1j * b.y, 1 - b.z]], dtype=complex
-    )
+    rho = density_from_bloch(b.x, b.y, b.z)
     expo = (
-        -1j * params.omega_s * dt * SX
+        -1j * params.omega_s * dt * SIGMA_X
         - (1j * math.sqrt(params.alpha / params.tau) * r * dt + 0.5 * params.alpha * dt)
         * P1
     )
     m = expm(expo)
     out = m @ rho @ m.conj().T
-    out = out / np.trace(out).real
-    return np.array(
-        [2 * out[0, 1].real, -2 * out[0, 1].imag, (out[0, 0] - out[1, 1]).real]
-    )
+    return bloch_from_density(out / np.trace(out).real)
 
 
 def test_sme_rhs_matches_kraus_update_to_second_order():

@@ -7,7 +7,7 @@ functions themselves, and the kernels must give the same bytes.  The steps
 are coarse (dt 5e-3 to 1e-2): at dt = 1e-3 a one-ulp change in a stage is
 scaled by dt / 6 and mostly rounds away, so a regrouped sum could go unseen.
 The phase path is evaluated in closed form; the same RK4 through
-:func:`_kernels._phase_rhs` is kept here as its reference, and the numpy form
+:func:`phase._phase_rhs` is kept here as its reference, and the numpy form
 of ``_phase_rhs`` must step and evaluate to the bytes of the float form.
 """
 
@@ -29,7 +29,7 @@ from zenopath import (
     mlp_pieces,
 )
 from zenopath import _kernels
-from zenopath.phase import stable_angle
+from zenopath.phase import _phase_rhs, stable_angle
 
 N_STEPS = 500
 
@@ -74,18 +74,18 @@ def test_phase_rk4_equals_rk4_through_phase_rhs_byte_for_byte(
     # bytes of the float form
     omega_s, dt, p0 = 0.5, 1e-2, 0.0
     ref, _ = _rk4_reference(
-        lambda u, p: _kernels._phase_rhs(u, p, omega_s, lam, theta_ref, anchored),
+        lambda u, p: _phase_rhs(u, p, omega_s, lam, theta_ref, anchored),
         (u0, p0), dt, N_STEPS)
     state, rows = (np.array([u0]), np.array([p0])), []
     for _ in range(N_STEPS):
         rows.append(state)
         state, _ = _rk4_step(
-            lambda u, p: _kernels._phase_rhs(u, p, omega_s, lam, theta_ref, anchored, np),
+            lambda u, p: _phase_rhs(u, p, omega_s, lam, theta_ref, anchored, np),
             state, dt)
     rows.append(state)
     assert np.array(rows)[:, :, 0].tobytes() == ref.tobytes()
-    rhs = _kernels._phase_rhs(ref[:, 0], ref[:, 1], omega_s, lam, theta_ref, anchored, np)
-    ref_rhs = [_kernels._phase_rhs(u, p, omega_s, lam, theta_ref, anchored) for u, p in ref]
+    rhs = _phase_rhs(ref[:, 0], ref[:, 1], omega_s, lam, theta_ref, anchored, np)
+    ref_rhs = [_phase_rhs(u, p, omega_s, lam, theta_ref, anchored) for u, p in ref]
     assert np.column_stack(rhs).tobytes() == np.array(ref_rhs).tobytes()
 
 
@@ -98,7 +98,7 @@ def test_exact_phase_path_matches_rk4_through_phase_rhs(lam, theta0, p0):
     anchored = lam >= 1.0
     theta_ref = stable_angle(theta0, lam) if anchored else -0.0
     ref, _ = _rk4_reference(
-        lambda u, p: _kernels._phase_rhs(u, p, omega_s, lam, theta_ref, anchored),
+        lambda u, p: _phase_rhs(u, p, omega_s, lam, theta_ref, anchored),
         (theta0 - theta_ref, p0), dt, n_steps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StalledAtFixedPoint)

@@ -4,67 +4,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from qubit_reference import bloch_from_density, density_from_bloch, null_outcome_step
 from zenopath import (
     BlochState,
-    DensityMatrix,
     InvalidState,
     MeasurementParams,
     NormalizationUnderflow,
-    bloch_from_density,
-    density_from_bloch,
     drift_rhs,
-    kraus_pair,
     mc_zeno_trajectory,
-    postselected_step,
-    unitary_step,
 )
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
-
-def test_kraus_no_measurement_limit():
-    pair = kraus_pair(1.0, 0.0)
-    np.testing.assert_allclose(pair.m0, np.eye(2))
-    np.testing.assert_allclose(pair.m1, np.zeros((2, 2)))
-
-
-def test_kraus_projective_limit():
-    pair = kraus_pair(1.0, math.pi / 2)
-    np.testing.assert_allclose(pair.m0, np.diag([1.0, 0.0]), atol=1e-15)
-    np.testing.assert_allclose(pair.m1, np.diag([0.0, 1.0]), atol=1e-15)
-
-
-def test_kraus_completeness_direct():
-    # direct matrix arithmetic oracle at J*dt = 0.3
-    pair = kraus_pair(0.3, 1.0)
-    s = pair.m0.conj().T @ pair.m0 + pair.m1.conj().T @ pair.m1
-    assert np.max(np.abs(s - np.eye(2))) < 1e-12
-
-
-def test_kraus_completeness_random():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        j = rng.uniform(0.0, 20.0)
-        dt = rng.uniform(0.0, 2.0)
-        assert kraus_pair(j, dt).completeness_defect() < 1e-12
-
-
-def test_unitary_identity_and_half_period():
-    np.testing.assert_allclose(unitary_step(0.7, 0.0), np.eye(2))
-    # Omega_s*dt = pi/2 gives -i sigma_x in this sign convention
-    np.testing.assert_allclose(unitary_step(1.0, math.pi / 2), -1j * SX, atol=1e-15)
-
-
-def test_unitary_is_unitary():
-    u = unitary_step(0.5, 0.1)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-14
-
-
-def test_postselected_step_ground_state():
-    params = MeasurementParams(omega_s=0.5, j_coupling=1.0, dt=1e-3)
-    rho = postselected_step(DensityMatrix(np.diag([1.0, 0.0])), params)
-    assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
-    assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-12
+def _step(b, params):
+    """One post-selected step of the package's map from b."""
+    return mc_zeno_trajectory(b, params, 1)[1]
 
 
 def test_postselected_step_fixed_point_motion_is_second_order():
@@ -74,8 +27,7 @@ def test_postselected_step_fixed_point_motion_is_second_order():
     moves = []
     for dt in (1e-3, 5e-4, 2.5e-4):
         params = MeasurementParams.from_lambda(0.5, lam, dt)
-        out = bloch_from_density(postselected_step(density_from_bloch(b), params))
-        moves.append(np.max(np.abs(out.as_array() - b.as_array())))
+        moves.append(np.max(np.abs(_step(b, params) - b.as_array())))
     assert moves[0] / moves[1] == pytest.approx(4.0, rel=0.15)
     assert moves[1] / moves[2] == pytest.approx(4.0, rel=0.15)
 
@@ -87,15 +39,15 @@ def test_one_step_matches_drift_to_second_order():
     errs = []
     for dt in (1e-3, 5e-4, 2.5e-4):
         params = MeasurementParams(omega_s=0.5, j_coupling=1.0, dt=dt)
-        out = bloch_from_density(postselected_step(density_from_bloch(b), params))
         euler = b.as_array() + np.array(drift_rhs(b, 0.5, params.lam)) * dt
-        errs.append(np.max(np.abs(out.as_array() - euler)))
+        errs.append(np.max(np.abs(_step(b, params) - euler)))
     assert errs[0] < 1e-3**2
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
 
 
 def test_postselected_step_preserves_invariants():
+    # a density matrix stays positive exactly when its Bloch vector stays in the ball
     rng = np.random.default_rng(7)
     for _ in range(100):
         v = rng.normal(size=3)
@@ -105,18 +57,7 @@ def test_postselected_step_preserves_invariants():
             j_coupling=rng.uniform(0.0, 3.0),
             dt=rng.uniform(1e-4, 0.1),
         )
-        out = postselected_step(density_from_bloch(BlochState(*v)), params)
-        m = out.matrix
-        assert abs(np.trace(m).real - 1.0) < 1e-12
-        assert np.max(np.abs(m - m.conj().T)) < 1e-12
-        assert np.min(np.linalg.eigvalsh(m)) > -1e-12
-
-
-def test_postselected_step_underflow():
-    # projective readout annihilates |1>
-    params = MeasurementParams(omega_s=1e-12, j_coupling=math.pi / 2, dt=1.0)
-    with pytest.raises(NormalizationUnderflow):
-        postselected_step(DensityMatrix(np.diag([0.0, 1.0])), params)
+        assert np.linalg.norm(_step(BlochState(*v), params)) < 1.0 + 1e-12
 
 
 def test_mc_zeno_trajectory_underflow():
@@ -124,20 +65,6 @@ def test_mc_zeno_trajectory_underflow():
     params = MeasurementParams(omega_s=1e-12, j_coupling=math.pi / 2, dt=1.0)
     with pytest.raises(NormalizationUnderflow, match="post-selection trace underflow at step 0"):
         mc_zeno_trajectory(BlochState(0.0, 0.0, -1.0), params, 5)
-
-
-def test_bloch_density_round_trip():
-    assert bloch_from_density(DensityMatrix(np.diag([1.0, 0.0]))) == BlochState(0, 0, 1)
-    np.testing.assert_allclose(
-        density_from_bloch(BlochState(0, 0, -1)).matrix, np.diag([0.0, 1.0])
-    )
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        v = rng.normal(size=3)
-        v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v)
-        b = BlochState(*v)
-        back = bloch_from_density(density_from_bloch(b))
-        assert np.max(np.abs(back.as_array() - b.as_array())) < 1e-12
 
 
 def test_bloch_norm_validation():
@@ -170,8 +97,7 @@ def test_drift_matches_finite_difference_of_step():
     dt = 1e-6
     params = MeasurementParams.from_lambda(0.5, 0.5, dt)
     b = BlochState(0.0, 0.4, 0.9165)
-    out = bloch_from_density(postselected_step(density_from_bloch(b), params))
-    fd = (out.as_array() - b.as_array()) / dt
+    fd = (_step(b, params) - b.as_array()) / dt
     an = np.array(drift_rhs(b, 0.5, params.lam))
     assert np.linalg.norm(fd - an) / np.linalg.norm(an) < 1e-5
 
@@ -201,11 +127,10 @@ def test_mc_matches_matrix_update():
     params = MeasurementParams.from_lambda(0.5, 1.2, 2e-3)
     b = BlochState(0.2, 0.3, 0.5)
     path = mc_zeno_trajectory(b, params, 200)
-    rho = density_from_bloch(b)
+    rho = density_from_bloch(b.x, b.y, b.z)
     for k in range(1, 201):
-        rho = postselected_step(rho, params)
-        ref = bloch_from_density(rho)
-        assert np.max(np.abs(path[k] - ref.as_array())) < 1e-12
+        rho = null_outcome_step(rho, params.omega_s, params.j_coupling, params.dt)
+        assert np.max(np.abs(path[k] - bloch_from_density(rho))) < 1e-12
 
 
 def test_mc_first_order_convergence(rk4_drift_endpoint):
