@@ -163,6 +163,8 @@ def transition_time_sub_zeno(lam: float, omega_s: float) -> float:
     to |integral dtheta / thetadot| and independent of the energy label.
     Diverges as lam -> 1 (Zeno onset); equals half the Rabi period at lam = 0.
     """
+    if omega_s <= 0.0:
+        raise ValueError("omega_s must be positive")
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     if lam >= 1.0:
@@ -206,6 +208,8 @@ def zeno_frequencies(lam: float, omega_s: float, epsilon: float = 1e-3) -> Trans
     theta2+eps -> theta1-eps (where the flow runs from theta2 toward theta1)
     and theta2-eps -> -pi; each omega_k is the inverse of the segment time.
     """
+    if omega_s <= 0.0:
+        raise ValueError("omega_s must be positive")
     t1, t2 = _zeno_angles(lam, epsilon, "zeno frequencies require")
     time1 = _segment_time(t1 + epsilon, 0.0, lam, omega_s)
     time12 = _segment_time(t2 + epsilon, t1 - epsilon, lam, omega_s)

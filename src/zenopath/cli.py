@@ -7,11 +7,10 @@ significant digits (``.17g``), JSON with Python's shortest round-trip
 ``repr``; both read back to the identical float.  Exit codes: 0 success, 2
 invalid configuration (a non-finite value or a config value of the wrong kind
 included) or an unwritable output path, 3 numerical failure (the message
-names the underlying error; a table that fails part way through, such as a
-most-likely path that leaves the floating-point range, is removed and no
-sidecar is written).  So is a table whose writing, or whose sidecar's, fails
-with exit 2; a path the run cannot open is left as it was.  A failed run also
-removes the output directories it made.
+names the underlying error, such as a most-likely path that leaves the
+floating-point range part way through its table).  A failed run (exit 2,
+exit 3 or an interrupt) leaves no file or directory it made, and a path it
+could not open is left as it was.
 """
 
 import argparse
@@ -58,65 +57,61 @@ _CSV_FLOAT = "%.17g"
 
 
 @contextlib.contextmanager
-def _created(path: Path):
-    """``path`` opened for writing bytes, and removed again if the writing
-    fails, so that no partial file is left; a path that cannot be opened is
-    left as it was."""
-    fh = open(path, "wb")
-    try:
-        with fh:
-            yield fh
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
-
-
-@contextlib.contextmanager
-def _parent_dirs(path: Path):
-    """Make the missing parent directories of ``path``, and remove the ones
-    made here again if the body fails; one that is no longer empty is kept."""
+def _outputs(path: Path):
+    """One run's output transaction: makes the missing parent directories of
+    ``path`` and yields ``create``, which opens a new output file for writing
+    bytes.  If the body fails, an interrupt included, every file opened and
+    every directory made here is removed, deepest first (a directory no longer
+    empty is kept); a path that could not be opened is left as it was."""
     made = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
+    opened = []
+
+    def create(file: Path):
+        fh = open(file, "wb")
+        opened.append(file)
+        return fh
+
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        yield
+        yield create
     except BaseException:
+        for file in opened:
+            file.unlink(missing_ok=True)
         for d in made:  # deepest first
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise
 
 
-def _write_table(path: Path, columns, rows, fmt: str) -> int:
-    """Write the table and return its number of rows.
+def _write_table(fh, columns, rows, fmt: str) -> int:
+    """Write the table to binary file ``fh`` and return its number of rows.
 
     ``rows`` is a 2-d float array, an iterable of 2-d float arrays (blocks of
     consecutive rows, consumed once), or a short list of row tuples for the
     tables with string cells.  Rows are formatted and written a block at a
     time: CSV with ``.17g`` floats (``_csv.float_rows``, ``_CSV_ROWS`` rows at
     a time) and ``csv.writer``'s row end ``\\r\\n``, JSON ``_BLOCK_ROWS`` rows at
-    a time in the layout of ``json.dump(indent=1)`` with ``repr`` floats.  A
-    table that fails part way through is removed.
+    a time in the layout of ``json.dump(indent=1)`` with ``repr`` floats.
     """
     n_rows = 0
-    with _created(path) as fh:
-        if fmt == "csv":
-            fh.write((",".join(columns) + "\r\n").encode())
-            for block in _row_blocks(rows, _CSV_ROWS):
-                if isinstance(block, np.ndarray):
-                    fh.write(float_rows(block))
-                else:  # string cells
-                    fh.write("".join(",".join(v if isinstance(v, str) else _CSV_FLOAT % v
-                                              for v in row) + "\r\n" for row in block).encode())
-                n_rows += len(block)
-            return n_rows
-        fh.write(('{\n "columns": [\n' + ",\n".join("  " + json.dumps(c) for c in columns)
-                  + '\n ],\n "rows": [').encode())
-        row, lead = "  [\n" + ",\n".join(["   %s"] * len(columns)) + "\n  ]", "\n"
-        for block in _row_blocks(rows, _BLOCK_ROWS):
-            fh.write((lead + ",\n".join([row] * len(block)) % tuple(_json_cells(block))).encode())
-            lead = ",\n"
+    if fmt == "csv":
+        fh.write((",".join(columns) + "\r\n").encode())
+        for block in _row_blocks(rows, _CSV_ROWS):
+            if isinstance(block, np.ndarray):
+                fh.write(float_rows(block))
+            else:  # string cells
+                fh.write("".join(",".join(v if isinstance(v, str) else _CSV_FLOAT % v
+                                          for v in row) + "\r\n" for row in block).encode())
             n_rows += len(block)
-        fh.write(("\n ]\n}\n" if n_rows else "]\n}\n").encode())
+        return n_rows
+    fh.write(('{\n "columns": [\n' + ",\n".join("  " + json.dumps(c) for c in columns)
+              + '\n ],\n "rows": [').encode())
+    row, lead = "  [\n" + ",\n".join(["   %s"] * len(columns)) + "\n  ]", "\n"
+    for block in _row_blocks(rows, _BLOCK_ROWS):
+        fh.write((lead + ",\n".join([row] * len(block)) % tuple(_json_cells(block))).encode())
+        lead = ",\n"
+        n_rows += len(block)
+    fh.write(("\n ]\n}\n" if n_rows else "]\n}\n").encode())
     return n_rows
 
 
@@ -139,17 +134,6 @@ def _json_cells(block) -> list:
     for i in np.flatnonzero(~np.isfinite(block.ravel())):
         cells[i] = json.dumps(cells[i])  # NaN, Infinity, -Infinity
     return cells
-
-
-def _write_sidecar(path: Path, command: str, resolved: dict):
-    sidecar = path.with_name(path.stem + ".config.json")
-    payload = {
-        "command": command,
-        "zenopath_version": __version__,
-        "config": resolved,
-    }
-    with _created(sidecar) as fh:
-        fh.write((json.dumps(payload, indent=1, sort_keys=True) + "\n").encode())
 
 
 def _load_config(path: str) -> dict:
@@ -216,16 +200,9 @@ def _convert(a: argparse.Action, value):
     return getattr(namespace, a.dest)
 
 
-def _grid(spec, name: str) -> np.ndarray:
-    start, stop, count = spec
-    if count < 2:
-        raise ValueError(f"{name}: grid count must be >= 2")
-    return np.linspace(start, stop, count)
-
-
 def _lambdas(args):
     """The --lambda-grid sweep, or the one --lambda when no grid is given."""
-    return _grid(args.lam_grid, "--lambda-grid") if args.lam_grid else [args.lam]
+    return np.linspace(*args.lam_grid) if args.lam_grid else [args.lam]
 
 
 def _diffusive_params(args) -> DiffusiveParams:
@@ -236,8 +213,8 @@ def _diffusive_params(args) -> DiffusiveParams:
 
 def _cmd_portrait(args):
     rows = []
-    thetas = _grid(args.theta_grid, "--theta-grid")
-    for e in _grid(args.energy_grid, "--energy-grid"):
+    thetas = np.linspace(*args.theta_grid)
+    for e in np.linspace(*args.energy_grid):
         for th in thetas:
             try:
                 p = p_theta_curve(float(th), args.lam, float(e))
@@ -298,7 +275,7 @@ def _cmd_zeno_frequencies(args):
 
 
 def _cmd_density(args):
-    z, dens = final_state_density(args.lam, args.theta_i, _grid(args.zf_grid, "--zf-grid"))
+    z, dens = final_state_density(args.lam, args.theta_i, np.linspace(*args.zf_grid))
     return ["z_f", "probability_density"], np.column_stack((z, dens))
 
 
@@ -348,6 +325,8 @@ class _Grid(argparse.Action):
         start, stop, count = values
         if count != int(count):
             raise argparse.ArgumentError(self, f"COUNT {count!r} is not a whole number")
+        if count < 2:
+            raise argparse.ArgumentError(self, f"COUNT must be at least 2, got {int(count)}")
         setattr(namespace, self.dest, [start, stop, int(count)])
 
 
@@ -466,8 +445,10 @@ def main(argv=None) -> int:
         command.set_defaults(**defaults)
         args = parser.parse_args(argv)
 
-    resolved = {
-        k: v for k, v in sorted(vars(args).items()) if k not in _NON_CONFIG_KEYS
+    sidecar = {
+        "command": args.command,
+        "zenopath_version": __version__,
+        "config": {k: v for k, v in sorted(vars(args).items()) if k not in _NON_CONFIG_KEYS},
     }
 
     outdir = Path(os.environ.get("ZENOPATH_OUTDIR", "."))
@@ -478,25 +459,17 @@ def main(argv=None) -> int:
 
     try:
         columns, rows = args.handler(args)
-    except ZenoPathError as exc:
+        with _outputs(out_path) as create:
+            with create(out_path) as fh:
+                n_rows = _write_table(fh, columns, rows, args.format)
+            with create(out_path.with_name(out_path.stem + ".config.json")) as fh:
+                fh.write((json.dumps(sidecar, indent=1, sort_keys=True) + "\n").encode())
+    except ZenoPathError as exc:  # from the handler or from a table streamed in blocks
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error[invalid-config]: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        with _parent_dirs(out_path):
-            n_rows = _write_table(out_path, columns, rows, args.format)
-            try:
-                _write_sidecar(out_path, args.command, resolved)
-            except OSError:
-                # this run's table, which cannot be rerun without it
-                out_path.unlink(missing_ok=True)
-                raise
-    except ZenoPathError as exc:  # raised by a table streamed in blocks, which is removed
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"error[output]: {exc}", file=sys.stderr)
         return 2

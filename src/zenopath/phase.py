@@ -129,6 +129,8 @@ def hamilton_jacobian(p: PhasePoint, params: PhaseParams) -> np.ndarray:
 
 def p_theta_curve(theta: float, lam: float, e: float) -> float:
     """Momentum on the energy-E curve: (E - lam (1 - cos theta)) / (1 + lam sin theta)."""
+    if lam < 0.0:
+        raise ValueError("lam must be nonnegative")
     denom = nullcline_factor(theta, lam, -0.0, False)
     if abs(denom) <= 1e-12:
         raise CurveSingularity(

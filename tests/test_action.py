@@ -155,6 +155,10 @@ def test_transition_time_divergence_and_errors():
         transition_time_sub_zeno(1.5, 0.5)
     with pytest.raises(ValueError):
         transition_time_sub_zeno(-0.1, 0.5)
+    # unchecked, a zero drive divided by zero and a negative one gave a negative time
+    for omega_s in (0.0, -1.0):
+        with pytest.raises(ValueError, match="omega_s must be positive"):
+            transition_time_sub_zeno(0.5, omega_s)
 
 
 def test_zeno_frequencies_trends():
@@ -193,6 +197,9 @@ def test_zeno_frequencies_errors():
         zeno_frequencies(1.5, 0.5, epsilon=2.0)
     with pytest.raises(ValueError):
         zeno_frequencies(1.5, 0.5, epsilon=-1e-3)
+    for omega_s in (0.0, -0.5):
+        with pytest.raises(ValueError, match="omega_s must be positive"):
+            zeno_frequencies(1.5, omega_s)
 
 
 def test_action_discontinuity_signs():

@@ -83,7 +83,8 @@ def test_numerical_failure_exit_code(tmp_path):
 
 
 def test_validation_failure_exit_code(tmp_path):
-    rc = main(
+    # a grid COUNT below 2 is argparse's usage error
+    rc = _exit_code(
         ["density", "--zf-grid", "0.0", "0.5", "1", "-o", str(tmp_path / "x.csv")]
     )
     assert rc == 2
@@ -200,7 +201,8 @@ def test_table_writer_matches_csv_and_json_modules(tmp_path, monkeypatch, fmt):
         (["a", "b", "c"], iter(()), []),
     ):
         path = tmp_path / f"t.{fmt}"
-        assert cli._write_table(path, columns, rows, fmt) == len(plain)
+        with cli._outputs(path) as create, create(path) as fh:
+            assert cli._write_table(fh, columns, rows, fmt) == len(plain)
         ref = tmp_path / f"ref.{fmt}"
         with open(ref, "w", newline="") as fh:
             if fmt == "csv":
@@ -251,8 +253,8 @@ def test_write_error_part_way_through_removes_the_table(tmp_path, fmt):
         raise OSError(28, "No space left on device")
 
     path = tmp_path / f"t.{fmt}"
-    with pytest.raises(OSError):
-        cli._write_table(path, ["a", "b"], blocks(), fmt)
+    with pytest.raises(OSError), cli._outputs(path) as create, create(path) as fh:
+        cli._write_table(fh, ["a", "b"], blocks(), fmt)
     assert not path.exists()
 
 
@@ -270,6 +272,31 @@ def test_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch, error
     (tmp_path / "old").mkdir()
     out = tmp_path / "old" / "new" / "sub" / "m.csv"
     assert main(["mlp", "-o", str(out)]) == code
+    assert list(tmp_path.rglob("*")) == [tmp_path / "old"]
+
+
+@pytest.mark.parametrize("stage", ["table", "sidecar"])
+def test_interrupted_run_removes_everything_it_made(tmp_path, monkeypatch, stage):
+    # an interrupt is re-raised, after the table, its sidecar and the
+    # directories the run made are removed
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    if stage == "sidecar":  # the sidecar is the run's only json.dumps on a CSV table
+        monkeypatch.setattr(cli.json, "dumps", interrupt)
+    else:
+        def handler(args):
+            def blocks():
+                yield np.ones((3, 2))
+                interrupt()
+
+            return ["a", "b"], blocks()
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, "transition-time",
+                            (handler, *cli._SUBCOMMANDS["transition-time"][1:]))
+    (tmp_path / "old").mkdir()
+    with pytest.raises(KeyboardInterrupt):
+        main(["transition-time", "-o", str(tmp_path / "old" / "new" / "t.csv")])
     assert list(tmp_path.rglob("*")) == [tmp_path / "old"]
 
 
@@ -396,8 +423,10 @@ def test_table_writer_memory_does_not_grow_with_the_table(tmp_path):
     for n_blocks in (160, 20):  # the longer table first: one-off allocations count against it
         tracemalloc.start()
         try:
-            assert cli._write_table(tmp_path / f"w{n_blocks}.csv", list("abcdefghi"),
-                                    (block for _ in range(n_blocks)), "csv") == 1024 * n_blocks
+            path = tmp_path / f"w{n_blocks}.csv"
+            with cli._outputs(path) as create, create(path) as fh:
+                assert cli._write_table(fh, list("abcdefghi"),
+                                        (block for _ in range(n_blocks)), "csv") == 1024 * n_blocks
             peaks[n_blocks] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -425,6 +454,20 @@ def _exit_code(argv):
     # finite but far more steps than an array can hold: nothing is allocated
     ("trajectory", ["--dt", "1e-300", "--t-end", "1"], None, "error[invalid-config]",
      "t_end / dt = 1.0 / 1e-300 asks for 1e+300 steps"),
+    # the library's own checks, for the rates the params classes do not see
+    ("transition-time", ["--omega-s", "0"], None, "error[invalid-config]",
+     "omega_s must be positive"),
+    ("transition-time", ["--omega-s", "-1"], None, "error[invalid-config]",
+     "omega_s must be positive"),
+    ("zeno-frequencies", ["--omega-s", "0"], None, "error[invalid-config]",
+     "omega_s must be positive"),
+    ("zeno-frequencies", ["--omega-s", "-0.5"], None, "error[invalid-config]",
+     "omega_s must be positive"),
+    ("portrait", ["--lambda", "-0.5"], None, "error[invalid-config]", "lam must be nonnegative"),
+    # a grid COUNT below 2, by flag and by config value
+    ("portrait", ["--theta-grid", "0", "1", "1"], None, "usage:",
+     "--theta-grid: COUNT must be at least 2"),
+    ("transition-time", [], "lam_grid = [0, 1, 1]", "error[config]", "lam_grid"),
 ])
 def test_bad_input_exits_2_with_a_named_error_and_writes_nothing(
         tmp_path, monkeypatch, capsys, command, flags, config, prefix, names):

@@ -108,6 +108,11 @@ def test_p_theta_curve_singularity():
         p_theta_curve(-math.asin(1 / lam), lam, 1.0)
 
 
+def test_p_theta_curve_rejects_negative_lambda():
+    with pytest.raises(ValueError, match="lam must be nonnegative"):
+        p_theta_curve(0.3, -0.5, 1.0)
+
+
 def test_critical_points_fig5_fig4_values():
     cps = critical_points(P15)
     assert cps.theta1 == pytest.approx(-0.729, abs=1e-3)
