@@ -26,7 +26,7 @@ from math import cos, isfinite, sin, sqrt
 
 import numpy as np
 
-from .errors import NormalizationUnderflow, StalledAtFixedPoint
+from .errors import NormalizationUnderflow, StalledAtFixedPoint, positive
 
 #: There is no compiled kernel path; run records report this constant.
 NUMBA_ENABLED = False
@@ -43,10 +43,8 @@ def step_count(dt, t_end):
     """The max(1, round(t_end / dt)) steps of a fixed-step run; raises
     ValueError unless dt, t_end and their ratio are finite, dt, t_end > 0 and
     the steps' time grid has at most MAX_SAMPLES samples."""
-    if not (dt > 0.0 and isfinite(dt)):
-        raise ValueError("dt must be positive and finite")
-    if not (t_end > 0.0 and isfinite(t_end)):
-        raise ValueError("t_end must be positive and finite")
+    positive("dt", dt)
+    positive("t_end", t_end)
     ratio = t_end / dt
     if not isfinite(ratio):
         raise ValueError(f"t_end / dt = {t_end!r} / {dt!r} overflows: too many steps")

@@ -15,12 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EpsilonTooLarge,
-    IntegrandSingular,
-    SingularEndpoint,
-    UnsupportedLambda,
-)
+from .errors import (EpsilonTooLarge, IntegrandSingular, SingularEndpoint, UnsupportedLambda,
+                     nonnegative, positive, zeno_regime)
 from .phase import critical_angles, nullcline_factor
 
 _QUAD_ABS_TOL = 1e-10
@@ -39,8 +35,7 @@ class TransitionTimes:
 
 
 def _check_lambda(lam: float):
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
+    nonnegative("lam", lam)
     if lam == 1.0:
         raise UnsupportedLambda("lam = 1 exactly is degenerate for both closed forms")
 
@@ -163,10 +158,8 @@ def transition_time_sub_zeno(lam: float, omega_s: float) -> float:
     to |integral dtheta / thetadot| and independent of the energy label.
     Diverges as lam -> 1 (Zeno onset); equals half the Rabi period at lam = 0.
     """
-    if omega_s <= 0.0:
-        raise ValueError("omega_s must be positive")
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
+    positive("omega_s", omega_s)
+    nonnegative("lam", lam)
     if lam >= 1.0:
         raise UnsupportedLambda(
             f"sub-Zeno transition time requires 0 <= lam < 1, got {lam}"
@@ -188,10 +181,8 @@ def _segment_time(a: float, b: float, lam: float, omega_s: float) -> float:
 
 def _zeno_angles(lam: float, epsilon: float, what: str):
     """The critical angles, once lam > 1 and the inset epsilon fits between them."""
-    if lam <= 1.0:
-        raise UnsupportedLambda(f"{what} lam > 1, got {lam}")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    zeno_regime(lam, what)
+    positive("epsilon", epsilon)
     t1, t2 = critical_angles(lam)
     if epsilon >= 0.5 * (t1 - t2):
         raise EpsilonTooLarge(
@@ -208,8 +199,7 @@ def zeno_frequencies(lam: float, omega_s: float, epsilon: float = 1e-3) -> Trans
     theta2+eps -> theta1-eps (where the flow runs from theta2 toward theta1)
     and theta2-eps -> -pi; each omega_k is the inverse of the segment time.
     """
-    if omega_s <= 0.0:
-        raise ValueError("omega_s must be positive")
+    positive("omega_s", omega_s)
     t1, t2 = _zeno_angles(lam, epsilon, "zeno frequencies require")
     time1 = _segment_time(t1 + epsilon, 0.0, lam, omega_s)
     time12 = _segment_time(t2 + epsilon, t1 - epsilon, lam, omega_s)

@@ -9,12 +9,13 @@ invalid configuration (a non-finite value or a config value of the wrong kind
 included) or an unwritable output path, 3 numerical failure (the message
 names the underlying error, such as a most-likely path that leaves the
 floating-point range part way through its table).  A failed run (exit 2,
-exit 3 or an interrupt) leaves no file or directory it made, and a path it
-could not open is left as it was.
+exit 3 or an interrupt) leaves no file or directory it made, and the files
+an earlier run wrote at its output paths are left as they were.
 """
 
 import argparse
 import contextlib
+import errno
 import itertools
 import json
 import math
@@ -59,24 +60,32 @@ _CSV_FLOAT = "%.17g"
 @contextlib.contextmanager
 def _outputs(path: Path):
     """One run's output transaction: makes the missing parent directories of
-    ``path`` and yields ``create``, which opens a new output file for writing
-    bytes.  If the body fails, an interrupt included, every file opened and
-    every directory made here is removed, deepest first (a directory no longer
-    empty is kept); a path that could not be opened is left as it was."""
+    ``path`` and yields ``create``, which opens a new temporary sibling of an
+    output file for writing bytes.  When the body succeeds, each temporary is
+    moved onto its output file in the order created (notes/decisions.md,
+    section 12).  If the body fails, an interrupt included, every temporary
+    and every directory made here is removed, deepest first (a directory no
+    longer empty is kept), and the files at the output paths are left as they
+    were."""
     made = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
-    opened = []
+    staged = []
 
     def create(file: Path):
-        fh = open(file, "wb")
-        opened.append(file)
+        if file.is_dir():  # fail here, before any output file is replaced
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(file))
+        tmp = file.with_name(f".{file.name}.{os.getpid()}.tmp")
+        fh = open(tmp, "xb")
+        staged.append((tmp, file))
         return fh
 
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         yield create
+        for tmp, file in staged:
+            os.replace(tmp, file)
     except BaseException:
-        for file in opened:
-            file.unlink(missing_ok=True)
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
         for d in made:  # deepest first
             with contextlib.suppress(OSError):
                 d.rmdir()

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import NonFiniteState, NoZenoRegime, StepTooLarge, WeakCouplingWarning
+from .errors import (NonFiniteState, StepTooLarge, WeakCouplingWarning, nonnegative, positive,
+                     zeno_regime)
 from .measurement import BlochState
 
 #: Time steps per block of the batched ensemble; a block of n trajectories
@@ -50,18 +51,14 @@ class DiffusiveParams:
     lam: float = field(init=False)
 
     def __post_init__(self):
-        if self.omega_s <= 0.0:
-            raise ValueError("omega_s must be positive")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        positive("omega_s", self.omega_s)
+        nonnegative("alpha", self.alpha)
+        positive("tau", self.tau)
         self.lam = self.alpha / (4.0 * self.omega_s)
 
     @classmethod
     def from_lambda(cls, omega_s: float, lam: float, tau: float):
-        if lam < 0.0:
-            raise ValueError("lam must be nonnegative")
+        nonnegative("lam", lam)
         return cls(omega_s=omega_s, alpha=4.0 * omega_s * lam, tau=tau)
 
 
@@ -297,8 +294,7 @@ def mlp_fixed_point(params: DiffusiveParams) -> ExtendedState:
     (0, 1/(2 lam z^2), 1/(2 z)) and vanishing readout.
     """
     lam = params.lam
-    if lam <= 1.0:
-        raise NoZenoRegime(f"the extremal fixed point requires lam > 1, got {lam}")
+    zeno_regime(lam, "the extremal fixed point requires")
     z = math.sqrt(1.0 - 1.0 / lam**2)
     return ExtendedState(
         x=0.0,

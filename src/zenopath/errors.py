@@ -1,4 +1,8 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the three
+parameter rules that raise them (notes/decisions.md, section 13).  Each rule
+is one chained compare that NaN fails too, so NaN and inf are rejected."""
+
+import math
 
 
 class ZenoPathError(Exception):
@@ -17,16 +21,16 @@ class CurveSingularity(ZenoPathError):
     """A constant-energy curve was evaluated on a nullcline where 1 + lambda*sin(theta) ~ 0."""
 
 
-class NoZenoRegime(ZenoPathError):
+class UnsupportedLambda(ZenoPathError):
+    """Coupling ratio outside the regime handled by this operation (e.g. lambda = 1 exactly)."""
+
+
+class NoZenoRegime(UnsupportedLambda):
     """Operation requires lambda > 1 (lambda >= 1 for separatrix energies)."""
 
 
 class SingularEndpoint(ZenoPathError):
     """Action endpoint sits on a critical angle where the integral diverges logarithmically."""
-
-
-class UnsupportedLambda(ZenoPathError):
-    """Coupling ratio outside the regime handled by this operation (e.g. lambda = 1 exactly)."""
 
 
 class IntegrandSingular(ZenoPathError):
@@ -51,3 +55,23 @@ class StalledAtFixedPoint(UserWarning):
 
 class WeakCouplingWarning(UserWarning):
     """Informational: tau >> t_end is violated, the detector is not weakly coupled."""
+
+
+def positive(name: str, value: float):
+    """ValueError unless 0 < value < inf: omega_s, tau, dt, t_end, epsilon."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def nonnegative(name: str, value: float):
+    """ValueError unless 0 <= value < inf: lam, alpha."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
+def zeno_regime(lam: float, what: str, inclusive: bool = False):
+    """Apply the lam rule, then raise NoZenoRegime "<what> lam > 1, got <lam>"
+    unless lam > 1 (lam >= 1 if ``inclusive``)."""
+    nonnegative("lam", lam)
+    if lam < 1.0 or lam == 1.0 and not inclusive:
+        raise NoZenoRegime(f"{what} lam {'>=' if inclusive else '>'} 1, got {lam}")

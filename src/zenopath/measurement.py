@@ -25,7 +25,7 @@ from typing import Protocol
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidState
+from .errors import InvalidState, nonnegative, positive
 
 _BLOCH_NORM_TOL = 1e-9
 
@@ -66,18 +66,18 @@ class MeasurementParams:
     lam: float = field(init=False)
 
     def __post_init__(self):
-        if self.omega_s <= 0.0:
-            raise ValueError("omega_s must be positive")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        positive("omega_s", self.omega_s)
+        positive("dt", self.dt)
         self.alpha = self.j_coupling**2 * self.dt
+        nonnegative("alpha = j_coupling**2 * dt", self.alpha)
         self.lam = self.alpha / (4.0 * self.omega_s)
 
     @classmethod
     def from_lambda(cls, omega_s: float, lam: float, dt: float):
         """Build parameters from the Zeno ratio lam; J = sqrt(4 omega_s lam / dt)."""
-        if lam < 0.0:
-            raise ValueError("lam must be nonnegative")
+        nonnegative("lam", lam)
+        positive("omega_s", omega_s)
+        positive("dt", dt)
         j = math.sqrt(4.0 * omega_s * lam / dt)
         return cls(omega_s=omega_s, j_coupling=j, dt=dt)
 

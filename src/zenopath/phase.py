@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import CurveSingularity, NonFiniteState, NoZenoRegime, StalledAtFixedPoint
+from .errors import (CurveSingularity, NonFiniteState, StalledAtFixedPoint, nonnegative,
+                     positive, zeno_regime)
 
 _CRITICAL_DISTANCE = 1e-6
 
@@ -39,10 +40,8 @@ class PhaseParams:
     lam: float
 
     def __post_init__(self):
-        if self.omega_s <= 0.0:
-            raise ValueError("omega_s must be positive")
-        if self.lam < 0.0:
-            raise ValueError("lam must be nonnegative")
+        positive("omega_s", self.omega_s)
+        nonnegative("lam", self.lam)
 
 
 @dataclass(frozen=True)
@@ -129,8 +128,7 @@ def hamilton_jacobian(p: PhasePoint, params: PhaseParams) -> np.ndarray:
 
 def p_theta_curve(theta: float, lam: float, e: float) -> float:
     """Momentum on the energy-E curve: (E - lam (1 - cos theta)) / (1 + lam sin theta)."""
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
+    nonnegative("lam", lam)
     denom = nullcline_factor(theta, lam, -0.0, False)
     if abs(denom) <= 1e-12:
         raise CurveSingularity(
@@ -149,8 +147,7 @@ def critical_angles(lam: float):
 def critical_points(params: PhaseParams) -> CriticalPointSet:
     """Saddle pair theta1 = -asin(1/lam), theta2 = asin(1/lam) - pi (lam > 1)."""
     lam = params.lam
-    if lam <= 1.0:
-        raise NoZenoRegime(f"critical points require lam > 1, got {lam}")
+    zeno_regime(lam, "critical points require")
     s = math.sqrt(lam * lam - 1.0)
     theta1, theta2 = critical_angles(lam)
     return CriticalPointSet(theta1, 1.0 / s, theta2, -1.0 / s, *stability_exponents(params))
@@ -162,16 +159,14 @@ def stability_exponents(params: PhaseParams):
     The contracting exponent applies to the theta-axis at the first saddle and
     to the p_theta-axis at the second; the expanding one to their partners.
     """
-    if params.lam <= 1.0:
-        raise NoZenoRegime(f"stability exponents require lam > 1, got {params.lam}")
+    zeno_regime(params.lam, "stability exponents require")
     gamma = 2.0 * params.omega_s * math.sqrt(params.lam**2 - 1.0)
     return gamma, -gamma
 
 
 def separatrix_energies(lam: float):
     """(e_low, e_high) = lam -+ sqrt(lam^2 - 1); their product is 1."""
-    if lam < 1.0:
-        raise NoZenoRegime(f"separatrices require lam >= 1, got {lam}")
+    zeno_regime(lam, "separatrices require", inclusive=True)
     s = math.sqrt(lam * lam - 1.0)
     return lam - s, lam + s
 
@@ -214,8 +209,7 @@ def stable_angle(theta: float, lam: float) -> float:
     theta falls from every start in [theta2, theta2 + 2 pi) to theta1 above
     theta2 (theta1 = theta2 = -pi/2 at lam = 1).
     """
-    if lam < 1.0:
-        raise NoZenoRegime(f"the stable critical angle requires lam >= 1, got {lam}")
+    zeno_regime(lam, "the stable critical angle requires", inclusive=True)
     theta1, theta2 = critical_angles(lam)
     return theta1 + math.tau * math.floor((theta - theta2) / math.tau)
 

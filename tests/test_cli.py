@@ -398,6 +398,27 @@ def test_mlp_leaving_the_float_range_exits_3_without_a_table(tmp_path, capsys, f
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_rerun_leaves_the_earlier_outputs_byte_identical(tmp_path, capsys, fmt):
+    out = tmp_path / f"m.{fmt}"
+    sidecar = tmp_path / "m.config.json"
+    assert main(["mlp", "--dt", "1e-3", "--t-end", "1", "--format", fmt, "-o", str(out)]) == 0
+    before = out.read_bytes(), sidecar.read_bytes()
+    # the default t-end leaves the float range at t = 8.766, part way through the table
+    assert main(["mlp", "--format", fmt, "-o", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error[NonFiniteState]")
+    assert (out.read_bytes(), sidecar.read_bytes()) == before
+    assert sorted(tmp_path.iterdir()) == [sidecar, out]  # no temporary is left
+
+
+def test_zeno_frequencies_below_lambda_one_is_no_zeno_regime(tmp_path, capsys):
+    out = tmp_path / "z.csv"
+    assert main(["zeno-frequencies", "--lambda", "0.5", "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[NoZenoRegime]") and "lam > 1, got 0.5" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mlp_memory_does_not_grow_with_the_path(tmp_path, monkeypatch):
     # the table flows in blocks: 6x the steps may not take 1.5x the peak memory.
     # Blocks of 16 rows keep both runs many blocks long at a size that is quick
