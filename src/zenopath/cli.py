@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._csv import float_rows
+from ._csv import float_rows, json_rows
 from .errors import CurveSingularity, ZenoPathError
 from .measurement import BlochState
 from .phase import (
@@ -100,7 +100,8 @@ def _write_table(fh, columns, rows, fmt: str) -> int:
     tables with string cells.  Rows are formatted and written a block at a
     time: CSV with ``.17g`` floats (``_csv.float_rows``, ``_CSV_ROWS`` rows at
     a time) and ``csv.writer``'s row end ``\\r\\n``, JSON ``_BLOCK_ROWS`` rows at
-    a time in the layout of ``json.dump(indent=1)`` with ``repr`` floats.
+    a time in the layout of ``json.dump(indent=1)`` with ``repr`` floats
+    (``_csv.json_rows``; string-cell rows through ``json.dumps``).
     """
     n_rows = 0
     if fmt == "csv":
@@ -115,10 +116,14 @@ def _write_table(fh, columns, rows, fmt: str) -> int:
         return n_rows
     fh.write(('{\n "columns": [\n' + ",\n".join("  " + json.dumps(c) for c in columns)
               + '\n ],\n "rows": [').encode())
-    row, lead = "  [\n" + ",\n".join(["   %s"] * len(columns)) + "\n  ]", "\n"
     for block in _row_blocks(rows, _BLOCK_ROWS):
-        fh.write((lead + ",\n".join([row] * len(block)) % tuple(_json_cells(block))).encode())
-        lead = ",\n"
+        if n_rows:
+            fh.write(b",")
+        if isinstance(block, np.ndarray):
+            fh.write(json_rows(block))
+        else:  # string cells, in the layout json_rows writes
+            fh.write(",".join("\n  [\n   " + ",\n   ".join(map(json.dumps, row)) + "\n  ]"
+                              for row in block).encode())
         n_rows += len(block)
     fh.write(("\n ]\n}\n" if n_rows else "]\n}\n").encode())
     return n_rows
@@ -133,16 +138,6 @@ def _row_blocks(rows, size: int):
     for table in (rows,) if isinstance(rows, np.ndarray) else rows:
         for start in range(0, len(table), size):
             yield table[start:start + size]
-
-
-def _json_cells(block) -> list:
-    """The cells of a block in row order: JSON text, or floats for ``%s``."""
-    if isinstance(block, list):
-        return [json.dumps(v) for row in block for v in row]
-    cells = block.ravel().tolist()
-    for i in np.flatnonzero(~np.isfinite(block.ravel())):
-        cells[i] = json.dumps(cells[i])  # NaN, Infinity, -Infinity
-    return cells
 
 
 def _load_config(path: str) -> dict:
@@ -408,7 +403,10 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The zenopath parser.  Every subcommand is registered, so that the
+    usage, --help and "invalid choice" texts stay whole, but only
+    ``command``'s options are added, or every subcommand's when it is None."""
     parser = argparse.ArgumentParser(
         prog="zenopath",
         description="Weak-measurement Zeno dynamics of a driven qubit: phase-space "
@@ -419,6 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (handler, help, columns, defaults) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help, epilog=columns)
+        if command not in (None, name):
+            continue
         p.set_defaults(handler=handler)
         # --lambda and --alpha set the same rate: a run gives at most one
         rate = p.add_mutually_exclusive_group() if "--alpha" in defaults else p
@@ -440,7 +440,10 @@ _NON_CONFIG_KEYS = {"handler", "command", "output", "config"}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option with a value, so the first word
+    # that is not an option names the subcommand
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
 
     if args.config:

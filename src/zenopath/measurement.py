@@ -68,7 +68,10 @@ class MeasurementParams:
     def __post_init__(self):
         positive("omega_s", self.omega_s)
         positive("dt", self.dt)
-        self.alpha = self.j_coupling**2 * self.dt
+        try:
+            self.alpha = self.j_coupling**2 * self.dt
+        except OverflowError:  # float ** raises where * would give inf
+            self.alpha = math.inf
         nonnegative("alpha = j_coupling**2 * dt", self.alpha)
         self.lam = self.alpha / (4.0 * self.omega_s)
 

@@ -75,3 +75,43 @@ def test_unpaired_run_is_an_error(tmp_path):
     _write_run(tmp_path / "01-mlp-7-parent.out", 7, 2.0, 60.0)
     with pytest.raises(ValueError, match="lacks a parent or a change"):
         bench_pairs.load_pairs(tmp_path)
+
+
+def test_per_operation_medians_from_saved_records(tmp_path):
+    # (parent, change) seconds of two operations in three passes per run
+    passes = {1: ([0.30, 0.10, 0.20], [0.12, 0.11, 0.10]),
+              2: ([0.25, 0.26, 0.24], [0.30, 0.20, 0.29])}
+    order = 0
+    for seed, (parent, change) in passes.items():
+        for side, seconds in (("parent", parent), ("change", change)):
+            order += 1
+            stem = tmp_path / f"{order:02d}-figures-{seed}-{side}"
+            _write_run(stem.with_suffix(".out"), seed, sum(seconds), 90.0)
+            ops = [{f"trajectory --seed {seed} --format json": s, "density --lambda 0": 0.01 * seed}
+                   for s in seconds]
+            stem.with_suffix(".json").write_text(json.dumps({"samples": {"ops": ops}}))
+    out = tmp_path / "BENCH_99.json"
+    assert bench_pairs.main([str(tmp_path), "-o", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["runs"][0]["parent"]["ops"] == {"trajectory --seed 1 --format json": 0.20,
+                                                  "density --lambda 0": 0.01}
+    assert record["runs"][1]["change"]["ops"]["trajectory --seed 2 --format json"] == 0.29
+    ops = record["summary"]["figures"]["ops"]
+    # per-pair medians: parent 0.20 and 0.25, change 0.11 and 0.29; the seed
+    # in the label differs between pairs
+    trajectory = ops["trajectory --seed * --format json"]
+    assert trajectory["parent_median_s"] == pytest.approx(0.225)
+    assert trajectory["change_median_s"] == pytest.approx(0.20)
+    assert trajectory["change_faster_in"] == 1
+    assert ops["density --lambda 0"]["change_faster_in"] == 0  # equal times
+
+
+def test_runs_without_records_have_no_operation_summary(tmp_path):
+    _write_run(tmp_path / "01-mlp-7-parent.out", 7, 2.0, 60.0)
+    _write_run(tmp_path / "02-mlp-7-change.out", 7, 1.9, 60.0)
+    (tmp_path / "02-mlp-7-change.json").write_text(
+        json.dumps({"samples": {"ops": [{"mlp": 1.9}]}}))
+    pairs = bench_pairs.load_pairs(tmp_path)
+    summary = bench_pairs.summarize(pairs, {"wall_s": "lower", "peak_rss_mb": "lower",
+                                            "success_ratio": "higher"})
+    assert "ops" not in summary["mlp"]  # one side has no record

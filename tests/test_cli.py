@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -568,3 +569,32 @@ def test_sidecar_with_string_grid_cells_reproduces_its_table(tmp_path):
     # the table that sidecar's run wrote
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "bbd11fcee3ad759e72157b09a660657e97678e9efe8c7d07aac9b2e9525c022b")
+
+
+@pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
+def test_help_of_each_subcommand_lists_its_own_options(command, capsys):
+    # main adds the options of the named subcommand only
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    options = next(part for part in capsys.readouterr().out.split("\n\n")
+                   if part.startswith("options:"))
+    listed = {flag for line in re.findall(r"^  (-[\w-]+)[^,\n]*(?:, (-[\w-]+))?", options, re.M)
+              for flag in line if flag}
+    own = set(cli._SUBCOMMANDS[command][3])
+    assert listed == {"-h", "--help", "-o", "--output", "--format", "--config", *own}
+    # the parser built for one subcommand parses it as the whole parser does
+    assert (vars(cli.build_parser(command).parse_args([command]))
+            == vars(cli.build_parser().parse_args([command])))
+
+
+def test_config_sets_the_defaults_of_the_one_subcommand_built(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('format = "json"\nomega_s = 0.25\nlam = 0.5\n')
+    out = tmp_path / "t.json"
+    assert main(["transition-time", "--config", str(cfg), "--lambda", "0.0",
+                 "-o", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert rows[0][:2] == [0.0, 0.25]  # the flag wins over the file's lam
+    config = json.loads((tmp_path / "t.config.json").read_text())["config"]
+    assert (config["format"], config["omega_s"], config["lam"]) == ("json", 0.25, 0.0)

@@ -50,8 +50,9 @@ _ENTRY_POINTS = [
     ("MeasurementParams", "omega_s", lambda v: MeasurementParams(v, 10.0, 1e-3), (0.0,),
      ValueError),
     ("MeasurementParams", "dt", lambda v: MeasurementParams(0.5, 10.0, v), (-1e-3,), ValueError),
-    # any finite j_coupling is in range; NaN and inf reach the derived alpha
-    ("MeasurementParams", "j_coupling", lambda v: MeasurementParams(0.5, v, 1e-3), (), None),
+    # NaN, inf and a j_coupling whose square overflows reach the derived alpha
+    ("MeasurementParams", "j_coupling", lambda v: MeasurementParams(0.5, v, 1e-3), (1e200,),
+     ValueError),
     ("MeasurementParams.from_lambda", "lam",
      lambda v: MeasurementParams.from_lambda(0.5, v, 1e-3), (-0.5,), ValueError),
     ("MeasurementParams.from_lambda", "dt",

@@ -8,16 +8,23 @@ one file per run, named ``<order>-<W>-<S>-<side>.out``: ``side`` is
 ``parent`` or ``change`` and ``order`` is the run's place in the sequence,
 so that the side of each pair that ran first is known.  The parent and the
 change of a pair share W and S.  Each file holds perfbench's ``env`` line
-and, as its last line, its JSON result line.
+and, as its last line, its JSON result line.  Beside it may lie the run's
+full record, ``<order>-<W>-<S>-<side>.json`` (perfbench writes it to
+``.perfbench/<W>-seed<S>-trace0.json``), whose ``samples.ops`` holds the
+seconds of each operation in each pass.
 
 The output keeps, under ``runs``, both sides' ``env`` and result of every
 pair, and under ``summary``, per workload and end-to-end metric: each side's
 median and quartiles (inclusive method, which is numpy.percentile's linear
 one), the distance between the parent's quartiles, and in how many pairs
 the change is strictly better (the direction comes from BENCHMARK.json).  It
-also counts the pairs whose printed output digests are identical.  Other
-top-level keys of an existing output file, such as notes on the claim, are
-kept.  Standard library only.
+also counts the pairs whose printed output digests are identical.  Where
+every run of a workload has its record, each pair also keeps both sides'
+median seconds per operation, and the summary each operation's median over
+the pairs of those medians and in how many pairs the change is faster; the
+operations of different pairs are matched by their place in the pass.
+Other top-level keys of an existing output file, such as notes on the
+claim, are kept.  Standard library only.
 """
 
 import argparse
@@ -33,7 +40,8 @@ SIDES = ("parent", "change")
 
 
 def read_run(path: Path) -> dict:
-    """The env, result and output digests of one saved run."""
+    """The env, result and output digests of one saved run, and the median
+    seconds of each operation over its passes if its record lies beside it."""
     lines = path.read_text().splitlines()
     env = [json.loads(line[4:]) for line in lines if line.startswith("env ")]
     if len(env) != 1 or not lines:
@@ -43,7 +51,13 @@ def read_run(path: Path) -> dict:
         parts = line.split(None, 3)  # digest <hex> <status> <label with spaces>
         if len(parts) == 4 and parts[0] == "digest":
             digests[parts[3]] = parts[1]
-    return {"env": env[0], "result": json.loads(lines[-1]), "digests": digests}
+    run = {"env": env[0], "result": json.loads(lines[-1]), "digests": digests}
+    record = path.with_suffix(".json")
+    if record.is_file():
+        passes = json.loads(record.read_text())["samples"]["ops"]
+        run["ops"] = {label: statistics.median(p[label] for p in passes)
+                      for label in passes[0]}
+    return run
 
 
 def quartiles(values):
@@ -78,6 +92,18 @@ def load_pairs(pairs_dir: Path) -> list:
     return [p[1:] for p in sorted(pairs)]
 
 
+def operation_names(runs: list) -> list:
+    """The operations of one workload's runs, matched by their place in the
+    pass, each named by its label with the words that differ between pairs,
+    such as a seed, as ``*``."""
+    labels = [list(r[side]["ops"]) for r in runs for side in SIDES]
+    if len({len(ops) for ops in labels}) != 1:
+        raise ValueError("the runs of one workload ran different operations")
+    return [" ".join(w[0] if len(set(w)) == 1 else "*"
+                     for w in zip(*(ops[k].split() for ops in labels)))
+            for k in range(len(labels[0]))]
+
+
 def summarize(pairs: list, better: dict) -> dict:
     summary = {}
     for workload in dict.fromkeys(p[0] for p in pairs):
@@ -107,6 +133,15 @@ def summarize(pairs: list, better: dict) -> dict:
         entry["digests_equal_in"] = sum(
             bool(r["parent"]["digests"]) and r["parent"]["digests"] == r["change"]["digests"]
             for r in runs)
+        if all("ops" in r[side] for r in runs for side in SIDES):
+            seconds = {side: [list(r[side]["ops"].values()) for r in runs] for side in SIDES}
+            entry["ops"] = {
+                name: {
+                    **{f"{side}_median_s": statistics.median(s[k] for s in seconds[side])
+                       for side in SIDES},
+                    "change_faster_in": sum(c[k] < p[k] for p, c in
+                                            zip(seconds["parent"], seconds["change"])),
+                } for k, name in enumerate(operation_names(runs))}
         summary[workload] = entry
     return summary
 
@@ -129,11 +164,14 @@ def main(argv=None) -> int:
         "medians and quartiles over the runs of each side (inclusive quartiles, "
         "as numpy.percentile's linear method); change_better_in counts pairs in "
         "which the change is strictly better; digests_equal_in counts pairs whose "
-        "output digests are identical")
+        "output digests are identical; ops holds, per operation, the median over "
+        "the pairs of each side's median seconds per pass (runs[].<side>.ops), and "
+        "change_faster_in the pairs in which the change's is lower")
     record["summary"] = summarize(pairs, better)
     record["runs"] = [
         {"workload": workload, "seed": seed, "first": first,
-         **{side: {"env": sides[side]["env"], "result": sides[side]["result"]}
+         **{side: {key: sides[side][key] for key in ("env", "result", "ops")
+                   if key in sides[side]}
             for side in SIDES}}
         for workload, seed, first, sides in pairs]
     args.output.write_text(json.dumps(record, indent=1) + "\n")
@@ -143,6 +181,9 @@ def main(argv=None) -> int:
             print(f"{workload}: {entry['pairs']} pairs, wall_s {wall['parent_median']:.4g} -> "
                   f"{wall['change_median']:.4g} s, change better in "
                   f"{wall['change_better_in']}; digests equal in {entry['digests_equal_in']}")
+        for label, op in entry.get("ops", {}).items():
+            print(f"  {op['parent_median_s']:.4g} -> {op['change_median_s']:.4g} s, faster in "
+                  f"{op['change_faster_in']}: {label}")
     return 0
 
 
