@@ -1,5 +1,5 @@
-"""Per-step loops, the formulas they step and the time grid and stall check
-of their integrators, in plain Python.
+"""Per-step loops, the formulas they step and the time grid, stall check and
+finite-path check of their integrators, in plain Python.
 
 Every loop runs on builtin floats: arithmetic on numpy scalars costs several
 times as much per operation and gives the same IEEE results
@@ -26,7 +26,7 @@ from math import cos, isfinite, sin, sqrt
 
 import numpy as np
 
-from .errors import NormalizationUnderflow, StalledAtFixedPoint, positive
+from .errors import NonFiniteState, NormalizationUnderflow, StalledAtFixedPoint, positive
 
 #: There is no compiled kernel path; run records report this constant.
 NUMBA_ENABLED = False
@@ -68,6 +68,14 @@ def warn_if_stalled(min_speed, stacklevel=3):
     if min_speed < STALL_SPEED:
         warnings.warn(f"flow speed fell to {min_speed:.3e}; path effectively stalled",
                       StalledAtFixedPoint, stacklevel=stacklevel)
+
+
+def check_finite(t, finite, path, advice=""):
+    """Raise NonFiniteState at the first time t[k] whose row is not finite
+    (``finite[k]`` false), naming the path and ending with ``advice``."""
+    if not finite.all():
+        raise NonFiniteState(f"the {path} left the floating-point range at t = "
+                             f"{t[np.argmin(finite)]:.6g}{advice}")
 
 
 def zeno_walk(x, y, z, omega_s, j_coupling, dt, n_steps):

@@ -41,7 +41,7 @@ def _check_lambda(lam: float):
 
 
 def _integrand(theta: float, lam: float) -> float:
-    return lam * (1.0 - math.cos(theta)) / nullcline_factor(theta, lam, -0.0, False)
+    return lam * (1.0 - math.cos(theta)) / nullcline_factor(theta, lam)
 
 
 def _branch(theta: float):
@@ -76,29 +76,25 @@ def _antiderivative(theta: float, lam: float) -> float:
             + k * period_area
         )
     s = math.sqrt(lam * lam - 1.0)
-    return -(lam / s) * math.log(abs((s + lam + t) / (s - lam - t))) - math.log(
-        abs(nullcline_factor(u, lam, -0.0, False))
-    )
+    return (-(lam / s) * math.log(abs((s + lam + t) / (s - lam - t)))
+            - math.log(abs(nullcline_factor(u, lam))))
 
 
-def _nullcline_in_interval(a: float, b: float, lam: float) -> bool:
-    """True if a nullcline of 1 + lam sin(theta) lies within (a, b)."""
-    lo, hi = (a, b) if a <= b else (b, a)
-    t1, t2 = critical_angles(lam)
-    for base in (t1, t2):
-        k_min = math.ceil((lo - base) / math.tau)
-        if base + math.tau * k_min < hi:
-            return True
-    return False
-
-
-def _endpoint_on_nullcline(theta: float, lam: float) -> bool:
-    t1, t2 = critical_angles(lam)
-    for base in (t1, t2):
-        d = math.remainder(theta - base, math.tau)
-        if abs(d) < _ENDPOINT_TOL:
-            return True
-    return False
+def _check_nullclines(theta_i: float, theta_f: float, lam: float, endpoint_error):
+    """For lam > 1, raise ``endpoint_error`` when an endpoint sits within 1e-9
+    of a critical angle, then IntegrandSingular when a nullcline of
+    1 + lam sin(theta) lies strictly inside the interval."""
+    if lam <= 1.0:
+        return
+    bases = critical_angles(lam)
+    for theta in (theta_i, theta_f):
+        for base in bases:
+            if abs(math.remainder(theta - base, math.tau)) < _ENDPOINT_TOL:
+                raise endpoint_error(f"endpoint theta = {theta:.9f} is on a critical angle")
+    lo, hi = (theta_i, theta_f) if theta_i <= theta_f else (theta_f, theta_i)
+    for base in bases:
+        if base + math.tau * math.ceil((lo - base) / math.tau) < hi:
+            raise IntegrandSingular("a nullcline of 1 + lam*sin(theta) lies inside the interval")
 
 
 def action_closed_form(theta_i: float, theta_f: float, lam: float) -> float:
@@ -114,31 +110,14 @@ def action_closed_form(theta_i: float, theta_f: float, lam: float) -> float:
         For lam > 1 when a nullcline lies strictly inside the interval.
     """
     _check_lambda(lam)
-    if lam > 1.0:
-        for th in (theta_i, theta_f):
-            if _endpoint_on_nullcline(th, lam):
-                raise SingularEndpoint(
-                    f"endpoint theta = {th:.9f} is on a critical angle"
-                )
-        if _nullcline_in_interval(theta_i, theta_f, lam):
-            raise IntegrandSingular(
-                "a nullcline of 1 + lam*sin(theta) lies inside the interval"
-            )
+    _check_nullclines(theta_i, theta_f, lam, SingularEndpoint)
     return _antiderivative(theta_f, lam) - _antiderivative(theta_i, lam)
 
 
 def action_quadrature(theta_i: float, theta_f: float, lam: float) -> float:
     """Adaptive quadrature of the action integrand (absolute tolerance 1e-10)."""
     _check_lambda(lam)
-    if lam > 1.0:
-        if (
-            _endpoint_on_nullcline(theta_i, lam)
-            or _endpoint_on_nullcline(theta_f, lam)
-            or _nullcline_in_interval(theta_i, theta_f, lam)
-        ):
-            raise IntegrandSingular(
-                "a nullcline of 1 + lam*sin(theta) meets the integration interval"
-            )
+    _check_nullclines(theta_i, theta_f, lam, IntegrandSingular)
     if theta_i == theta_f:
         return 0.0
     # scipy is imported on first use so that importing zenopath loads numpy only
@@ -173,7 +152,7 @@ def _segment_time(a: float, b: float, lam: float, omega_s: float) -> float:
     from scipy import integrate
 
     value, _ = integrate.quad(
-        lambda th: 1.0 / abs(2.0 * omega_s * nullcline_factor(th, lam, -0.0, False)),
+        lambda th: 1.0 / abs(2.0 * omega_s * nullcline_factor(th, lam)),
         a, b, epsabs=1e-12, epsrel=1e-10, limit=500,
     )
     return abs(value)

@@ -29,10 +29,8 @@ from . import __version__
 from ._csv import float_rows, json_rows
 from .errors import CurveSingularity, ZenoPathError
 from .measurement import BlochState
-from .phase import (
-    PhaseParams, PhasePoint, critical_points, energy_level, p_theta_curve,
-    separatrix_energies,
-)
+from .phase import (PhaseParams, critical_points, energy_level, p_theta_curve,
+                    separatrix_energies)
 from .action import (
     action_closed_form,
     action_quadrature,
@@ -233,8 +231,8 @@ def _cmd_critical_points(args):
     cps = critical_points(params)
     plus, minus = cps.exponent_plus, cps.exponent_minus
     e_low, e_high = separatrix_energies(args.lam)
-    e1 = energy_level(PhasePoint(cps.theta1, cps.p_theta1), params)
-    e2 = energy_level(PhasePoint(cps.theta2, cps.p_theta2), params)
+    e1 = energy_level(cps.p1, params)
+    e2 = energy_level(cps.p2, params)
     rows = [
         ("P1", cps.theta1, cps.p_theta1, minus, plus, e1, e_low, e_high),
         ("P2", cps.theta2, cps.p_theta2, plus, minus, e2, e_low, e_high),

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import (NonFiniteState, StepTooLarge, WeakCouplingWarning, nonnegative, positive,
-                     zeno_regime)
+from .errors import StepTooLarge, WeakCouplingWarning, nonnegative, positive, zeno_regime
 from .measurement import BlochState
 
 #: Time steps per block of the batched ensemble; a block of n trajectories
@@ -259,6 +258,7 @@ def mlp_pieces(
 
 def _mlp_pieces(s, params, dt, n_steps, rows, stacklevel):
     min_speed = math.inf
+    advice = "; a smaller dt keeps the RK4 step stable"
     for start in range(0, n_steps + 1, rows):
         stop = min(start + rows, n_steps + 1)
         skip = 1 if start else 0  # a later piece restarts from the row before it
@@ -268,22 +268,12 @@ def _mlp_pieces(s, params, dt, n_steps, rows, stacklevel):
         min_speed = min(min_speed, speed)
         s, states = path[-1], path[skip:]
         t = np.arange(start, stop) * dt
-        _check_finite(t, states)
+        _kernels.check_finite(t, np.isfinite(states).all(axis=1), "most-likely path", advice)
         x, y, _, px, py, _ = states.T
         readout = _readout(x, y, px, py, params)
-        _check_finite(t, readout)
+        _kernels.check_finite(t, np.isfinite(readout), "most-likely path", advice)
         yield MLPTrajectory(t=t, states=states, readout=readout)
     _kernels.warn_if_stalled(min_speed, stacklevel)
-
-
-def _check_finite(t, values):
-    """Raise NonFiniteState at the first time t[k] whose row of values is not finite."""
-    bad = ~np.isfinite(values.reshape(len(t), -1)).all(axis=1)
-    if bad.any():
-        raise NonFiniteState(
-            f"the most-likely path left the floating-point range at t = "
-            f"{t[np.argmax(bad)]:.6g}; a smaller dt keeps the RK4 step stable"
-        )
 
 
 def mlp_fixed_point(params: DiffusiveParams) -> ExtendedState:

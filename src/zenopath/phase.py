@@ -70,39 +70,40 @@ class CriticalPointSet:
         return PhasePoint(self.theta2, self.p_theta2)
 
 
-def nullcline_factor(u, lam, theta_ref, anchored, xp=math):
-    """The factor 1 + lam sin(theta) of the reduced flow, at theta = theta_ref + u.
+def nullcline_factor(u, lam, theta_ref=None, xp=math):
+    """The factor 1 + lam sin(theta) of the reduced flow.
 
-    Anchored (lam >= 1, theta_ref a zero of the factor: sin(theta_ref) = -1/lam)
-    it is evaluated as 2 lam cos(theta_ref + u/2) sin(u/2), which keeps its
-    relative precision as u -> 0 where the plain sum cancels to nothing.
-    Unanchored it is the plain sum; theta_ref = -0.0 then makes theta_ref + u
-    exactly u.  ``xp`` supplies cos and sin: ``math`` for floats, ``numpy``
-    for arrays (this and the two functions below).
+    With no ``theta_ref``, u is theta and the factor is the plain sum.  With
+    one (lam >= 1, theta_ref a zero of the factor: sin(theta_ref) = -1/lam),
+    u is the deviation theta - theta_ref and the factor is evaluated as
+    2 lam cos(theta_ref + u/2) sin(u/2), which keeps its relative precision
+    as u -> 0 where the plain sum cancels to nothing.  ``xp`` supplies cos
+    and sin: ``math`` for floats, ``numpy`` for arrays (this and the two
+    functions below).
     """
-    if anchored:
-        return 2.0 * lam * xp.cos(theta_ref + 0.5 * u) * xp.sin(0.5 * u)
-    return 1.0 + lam * xp.sin(theta_ref + u)
+    if theta_ref is None:
+        return 1.0 + lam * xp.sin(u)
+    return 2.0 * lam * xp.cos(theta_ref + 0.5 * u) * xp.sin(0.5 * u)
 
 
-def _phase_rhs(u, p_theta, omega_s, lam, theta_ref, anchored, xp=math):
-    theta = theta_ref + u
-    dtheta = -2.0 * omega_s * nullcline_factor(u, lam, theta_ref, anchored, xp)
+def _phase_rhs(u, p_theta, omega_s, lam, theta_ref=None, xp=math):
+    theta = u if theta_ref is None else theta_ref + u
+    dtheta = -2.0 * omega_s * nullcline_factor(u, lam, theta_ref, xp)
     dp = 2.0 * omega_s * lam * (p_theta * xp.cos(theta) + xp.sin(theta))
     return dtheta, dp
 
 
-def phase_hamiltonian(u, p_theta, omega_s, lam, theta_ref, anchored, xp=math):
+def phase_hamiltonian(u, p_theta, omega_s, lam, theta_ref=None, xp=math):
     """H = -2 Omega_s [p_theta (1 + lam sin theta) + lam (1 - cos theta)]."""
+    theta = u if theta_ref is None else theta_ref + u
     return -2.0 * omega_s * (
-        p_theta * nullcline_factor(u, lam, theta_ref, anchored, xp)
-        + lam * (1.0 - xp.cos(theta_ref + u))
+        p_theta * nullcline_factor(u, lam, theta_ref, xp) + lam * (1.0 - xp.cos(theta))
     )
 
 
 def cdj_hamiltonian(p: PhasePoint, params: PhaseParams) -> float:
     """H = -2 Omega_s [p_theta (1 + lam sin theta) + lam (1 - cos theta)]."""
-    return phase_hamiltonian(p.theta, p.p_theta, params.omega_s, params.lam, -0.0, False)
+    return phase_hamiltonian(p.theta, p.p_theta, params.omega_s, params.lam)
 
 
 def energy_level(p: PhasePoint, params: PhaseParams) -> float:
@@ -112,7 +113,7 @@ def energy_level(p: PhasePoint, params: PhaseParams) -> float:
 
 def hamilton_rhs(p: PhasePoint, params: PhaseParams):
     """(d theta/dt, d p_theta/dt) = (dH/dp_theta, -dH/dtheta)."""
-    return _phase_rhs(p.theta, p.p_theta, params.omega_s, params.lam, -0.0, False)
+    return _phase_rhs(p.theta, p.p_theta, params.omega_s, params.lam)
 
 
 def hamilton_jacobian(p: PhasePoint, params: PhaseParams) -> np.ndarray:
@@ -129,7 +130,7 @@ def hamilton_jacobian(p: PhasePoint, params: PhaseParams) -> np.ndarray:
 def p_theta_curve(theta: float, lam: float, e: float) -> float:
     """Momentum on the energy-E curve: (E - lam (1 - cos theta)) / (1 + lam sin theta)."""
     nonnegative("lam", lam)
-    denom = nullcline_factor(theta, lam, -0.0, False)
+    denom = nullcline_factor(theta, lam)
     if abs(denom) <= 1e-12:
         raise CurveSingularity(
             f"1 + lam*sin(theta) = {denom:.3e} at theta = {theta:.6f}"
@@ -194,11 +195,8 @@ class PhasePath:
 
     def hamiltonian(self, params: PhaseParams) -> np.ndarray:
         """H at every sample, with the nullcline factor the path was evaluated with."""
-        anchored = self.deviation is not None
-        u = self.deviation if anchored else self.theta
-        return phase_hamiltonian(
-            u, self.p_theta, params.omega_s, params.lam, self.theta_ref, anchored, np
-        )
+        u, ref = (self.theta, None) if self.deviation is None else (self.deviation, self.theta_ref)
+        return phase_hamiltonian(u, self.p_theta, params.omega_s, params.lam, ref, np)
 
 
 def stable_angle(theta: float, lam: float) -> float:
@@ -210,7 +208,10 @@ def stable_angle(theta: float, lam: float) -> float:
     theta2 (theta1 = theta2 = -pi/2 at lam = 1).
     """
     zeno_regime(lam, "the stable critical angle requires", inclusive=True)
-    theta1, theta2 = critical_angles(lam)
+    return _stable_copy(theta, *critical_angles(lam))
+
+
+def _stable_copy(theta, theta1, theta2):
     return theta1 + math.tau * math.floor((theta - theta2) / math.tau)
 
 
@@ -275,16 +276,13 @@ def integrate_phase_path(
     if not (math.isfinite(theta0) and math.isfinite(p0)):
         raise NonFiniteState(f"the phase path starts outside the floating-point range at t = 0: "
                              f"theta = {theta0!r}, p_theta = {p0!r}")
-    anchored = lam >= 1.0
-    if anchored:
-        theta_ref = stable_angle(theta0, lam)
-        u0 = theta0 - theta_ref
+    theta_ref, u0 = None, theta0
+    if lam >= 1.0:
         theta1, theta2 = critical_angles(lam)
-    else:
-        # -0.0 is the exact additive identity: theta_ref + u is u, bit for bit
-        theta_ref, u0 = -0.0, theta0
+        theta_ref = _stable_copy(theta0, theta1, theta2)
+        u0 = theta0 - theta_ref
     with np.errstate(all="ignore"):  # overflow is caught below as NonFiniteState
-        if anchored and u0 in (0.0, theta2 - theta1):
+        if theta_ref is not None and u0 in (0.0, theta2 - theta1):
             # a start on theta1 (theta2) stays there and the energy curve is
             # 0/0: dp/dt = rate (p + tan theta_k), rate = gamma (-gamma), and
             # rate tan theta_k = -2 Omega_s
@@ -292,23 +290,19 @@ def integrate_phase_path(
             u = np.full(t.shape, u0)
             p = p0 * np.exp(rate * t) - 2.0 * omega_s * (np.expm1(rate * t) / rate if rate else t)
         else:
-            if anchored:
-                u = _deviation(u0, omega_s, lam, t)
-            else:
+            if theta_ref is None:
                 u = theta0 + 2.0 * _half_turn(theta0, omega_s, lam, t)
+            else:
+                u = _deviation(u0, omega_s, lam, t)
             # p factor = p0 factor0 + lam (cos theta - cos theta0) on the
             # energy curve, with the difference of cosines as a product
             half = 0.5 * (u - u0)
-            p = (p0 * nullcline_factor(u0, lam, theta_ref, anchored)
+            p = (p0 * nullcline_factor(u0, lam, theta_ref)
                  - 2.0 * lam * np.sin(theta0 + half) * np.sin(half)
-                 ) / nullcline_factor(u, lam, theta_ref, anchored, np)
-        theta = theta_ref + u
-        bad = ~(np.isfinite(theta) & np.isfinite(p))
-        if bad.any():
-            raise NonFiniteState(
-                f"the phase path left the floating-point range at t = {t[np.argmax(bad)]:.6g}"
-            )
-        speed = np.hypot(*_phase_rhs(u, p, omega_s, lam, theta_ref, anchored, np))
+                 ) / nullcline_factor(u, lam, theta_ref, np)
+        theta = u if theta_ref is None else theta_ref + u
+        _kernels.check_finite(t, np.isfinite(theta) & np.isfinite(p), "phase path")
+        speed = np.hypot(*_phase_rhs(u, p, omega_s, lam, theta_ref, np))
     _kernels.warn_if_stalled(float(np.min(speed)))
     if lam > 1.0:
         cps = critical_points(params)
@@ -319,4 +313,6 @@ def integrate_phase_path(
                 warnings.warn(f"path passed within {distance:.2e} of the critical point at "
                               f"theta = {cp.theta:.6f}", StalledAtFixedPoint, stacklevel=2)
                 break
-    return PhasePath(t, theta, p, u if anchored else None, theta_ref)
+    if theta_ref is None:
+        return PhasePath(t, theta, p)
+    return PhasePath(t, theta, p, u, theta_ref)

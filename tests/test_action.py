@@ -24,6 +24,7 @@ from zenopath import (
     transition_time_sub_zeno,
     zeno_frequencies,
 )
+from zenopath.action import _antiderivative
 from scipy.integrate import quad
 
 
@@ -120,6 +121,30 @@ def test_action_errors():
         action_quadrature(0.0, t1 - 0.1, lam)
     with pytest.raises(ValueError):
         action_closed_form(0.0, 1.0, -0.2)
+
+
+def test_each_check_names_an_endpoint_on_a_critical_angle_before_the_interior():
+    # (t1 - 3, t1) also holds t2: the endpoint is reported first, under each method's type
+    lam = 1.5
+    t1, t2 = _angles(lam)
+    with pytest.raises(SingularEndpoint, match="endpoint theta"):
+        action_closed_form(t1, t1 - 3.0, lam)
+    with pytest.raises(IntegrandSingular, match="endpoint theta"):
+        action_quadrature(t1, t1 - 3.0, lam)
+    with pytest.raises(IntegrandSingular, match="endpoint theta"):
+        action_quadrature(t1, 1.0, lam)
+    with pytest.raises(IntegrandSingular, match="endpoint theta"):
+        action_quadrature(1.0, t2 + 2 * math.pi, lam)
+
+
+def test_antiderivative_runs_through_the_half_angle_pole_above_lambda_one():
+    # tan(theta/2) has a pole at +-pi, where the primitive's limit is 0 and the
+    # integrand is lam (1 - cos pi) / 1 = 2 lam
+    lam, h = 1.5, 1e-9
+    for theta in (math.pi, -math.pi):
+        assert _antiderivative(theta, lam) == 0.0
+        assert _antiderivative(theta - h, lam) == pytest.approx(-2 * lam * h, rel=1e-6)
+        assert _antiderivative(theta + h, lam) == pytest.approx(2 * lam * h, rel=1e-6)
 
 
 def test_transition_time_rabi_limit():
@@ -259,6 +284,11 @@ def test_density_grid_validation():
         final_state_density(0.5, grid=np.array([-1.0, 0.0, 0.5]))
     with pytest.raises(UnsupportedLambda):
         final_state_density(1.0)
+
+
+def test_density_rejects_a_two_dimensional_grid():
+    with pytest.raises(ValueError, match="1-D"):
+        final_state_density(0.5, grid=np.array([[-0.5, 0.0], [0.2, 0.5]]))
 
 
 def _no_click_log_probability(lam, omega_s, theta0, t):

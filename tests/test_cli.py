@@ -160,6 +160,17 @@ def test_portrait_command(tmp_path):
     assert len(rows) == 3 * 61
 
 
+def test_portrait_skips_the_point_on_the_nullcline(tmp_path):
+    # at lambda 1 the first grid angle, -pi/2, zeroes 1 + lam sin(theta): each
+    # of the 8 default energies loses that row, so 8 x 4 rows are written
+    out = tmp_path / "p.csv"
+    assert main(["portrait", "--lambda", "1", "--theta-grid", "-1.5707963267948966", "0", "5",
+                 "-o", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert len(rows) == 32
+    assert -math.pi / 2 not in {float(r[1]) for r in rows}
+
+
 def test_ensemble_n_eff_below_n_when_weighted(tmp_path):
     out = tmp_path / "e.csv"
     assert main(
@@ -490,6 +501,10 @@ def _exit_code(argv):
     ("portrait", ["--theta-grid", "0", "1", "1"], None, "usage:",
      "--theta-grid: COUNT must be at least 2"),
     ("transition-time", [], "lam_grid = [0, 1, 1]", "error[config]", "lam_grid"),
+    # a line that is not key = value, and a sidecar value that is an object
+    ("transition-time", [], "lam 0.5", "error[config]", "expected key = value"),
+    ("transition-time", [], '{"command": "transition-time", "config": {"lam": {"a": 1}}}',
+     "error[config]", "expected numbers or strings"),
 ])
 def test_bad_input_exits_2_with_a_named_error_and_writes_nothing(
         tmp_path, monkeypatch, capsys, command, flags, config, prefix, names):

@@ -486,6 +486,11 @@ def test_integrate_mlp_rejects_nonpositive_dt_or_t_end(dt, t_end):
         mlp_pieces(GENERIC_IC, PARAMS_15, dt, t_end, 4)  # on the call, not on next()
 
 
+def test_mlp_pieces_rejects_zero_rows():
+    with pytest.raises(ValueError, match="rows must be >= 1"):
+        mlp_pieces(GENERIC_IC, PARAMS_15, 1e-3, 0.5, 0)
+
+
 @pytest.mark.parametrize("t_end, rows", [
     (0.5, 1), (0.5, 7), (0.5, 1024), (0.5, 501), (2.047, 1024),
 ])

@@ -73,19 +73,20 @@ def test_phase_rk4_equals_rk4_through_phase_rhs_byte_for_byte(
     # _phase_rhs; stepped on arrays and evaluated on the rows it must give the
     # bytes of the float form
     omega_s, dt, p0 = 0.5, 1e-2, 0.0
+    theta_ref = theta_ref if anchored else None
     ref, _ = _rk4_reference(
-        lambda u, p: _phase_rhs(u, p, omega_s, lam, theta_ref, anchored),
+        lambda u, p: _phase_rhs(u, p, omega_s, lam, theta_ref),
         (u0, p0), dt, N_STEPS)
     state, rows = (np.array([u0]), np.array([p0])), []
     for _ in range(N_STEPS):
         rows.append(state)
         state, _ = _rk4_step(
-            lambda u, p: _phase_rhs(u, p, omega_s, lam, theta_ref, anchored, np),
+            lambda u, p: _phase_rhs(u, p, omega_s, lam, theta_ref, np),
             state, dt)
     rows.append(state)
     assert np.array(rows)[:, :, 0].tobytes() == ref.tobytes()
-    rhs = _phase_rhs(ref[:, 0], ref[:, 1], omega_s, lam, theta_ref, anchored, np)
-    ref_rhs = [_phase_rhs(u, p, omega_s, lam, theta_ref, anchored) for u, p in ref]
+    rhs = _phase_rhs(ref[:, 0], ref[:, 1], omega_s, lam, theta_ref, np)
+    ref_rhs = [_phase_rhs(u, p, omega_s, lam, theta_ref) for u, p in ref]
     assert np.column_stack(rhs).tobytes() == np.array(ref_rhs).tobytes()
 
 
@@ -98,7 +99,7 @@ def test_exact_phase_path_matches_rk4_through_phase_rhs(lam, theta0, p0):
     anchored = lam >= 1.0
     theta_ref = stable_angle(theta0, lam) if anchored else -0.0
     ref, _ = _rk4_reference(
-        lambda u, p: _phase_rhs(u, p, omega_s, lam, theta_ref, anchored),
+        lambda u, p: _phase_rhs(u, p, omega_s, lam, theta_ref if anchored else None),
         (theta0 - theta_ref, p0), dt, n_steps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StalledAtFixedPoint)

@@ -67,6 +67,12 @@ def test_mc_zeno_trajectory_underflow():
         mc_zeno_trajectory(BlochState(0.0, 0.0, -1.0), params, 5)
 
 
+def test_mc_zeno_trajectory_rejects_zero_steps():
+    params = MeasurementParams(omega_s=0.5, j_coupling=1.0, dt=1e-3)
+    with pytest.raises(ValueError, match="n_steps must be >= 1"):
+        mc_zeno_trajectory(BlochState(0.0, 0.0, 1.0), params, 0)
+
+
 def test_bloch_norm_validation():
     with pytest.raises(InvalidState):
         BlochState(1.0, 1.0, 1.0)
