@@ -147,15 +147,9 @@ def transition_time_sub_zeno(lam: float, omega_s: float) -> float:
     return (math.pi + 2.0 * math.atan(lam / s)) / (2.0 * omega_s * s)
 
 
-def _segment_time(a: float, b: float, lam: float, omega_s: float) -> float:
-    """|integral dtheta / thetadot| over [a, b], integrated along the flow."""
-    from scipy import integrate
-
-    value, _ = integrate.quad(
-        lambda th: 1.0 / abs(2.0 * omega_s * nullcline_factor(th, lam)),
-        a, b, epsabs=1e-12, epsrel=1e-10, limit=500,
-    )
-    return abs(value)
+def _log_sin_half(d: float) -> float:
+    """S(d) = log|sin(d/2)|, the primitive of cot(d/2)/2."""
+    return math.log(abs(math.sin(0.5 * d)))
 
 
 def _zeno_angles(lam: float, epsilon: float, what: str):
@@ -176,19 +170,23 @@ def zeno_frequencies(lam: float, omega_s: float, epsilon: float = 1e-3) -> Trans
 
     The sweep 0 -> -pi is split at the critical angles into 0 -> theta1+eps,
     theta2+eps -> theta1-eps (where the flow runs from theta2 toward theta1)
-    and theta2-eps -> -pi; each omega_k is the inverse of the segment time.
+    and theta2-eps -> -pi; each omega_k is the inverse of the segment time,
+    in closed form (notes/decisions.md, section 17).  theta -> -pi - theta
+    swaps the outer segments, so omega2 = omega1.  EpsilonTooLarge unless
+    eps is below both -theta1 and half the gap between the critical angles.
     """
     positive("omega_s", omega_s)
     t1, t2 = _zeno_angles(lam, epsilon, "zeno frequencies require")
-    time1 = _segment_time(t1 + epsilon, 0.0, lam, omega_s)
-    time12 = _segment_time(t2 + epsilon, t1 - epsilon, lam, omega_s)
-    time2 = _segment_time(-math.pi, t2 - epsilon, lam, omega_s)
-    return TransitionTimes(
-        epsilon=epsilon,
-        omega1=1.0 / time1,
-        omega12=1.0 / time12,
-        omega2=1.0 / time2,
-    )
+    if epsilon >= -t1:
+        raise EpsilonTooLarge(f"epsilon = {epsilon} does not fit between theta1 = {t1:.6f} "
+                              "and 0: the outer segments would run backwards")
+    # 1 + lam sin(theta) = 2 lam sin((theta-t1)/2) sin((theta-t2)/2), so a segment
+    # takes |dPsi| / (2 Omega_s s) with Psi(theta) = S(theta-t2) - S(theta-t1)
+    s, g = math.sqrt(lam - 1.0) * math.sqrt(lam + 1.0), t1 - t2  # no lam*lam to overflow
+    outer = abs(_log_sin_half(t2) - _log_sin_half(t1)
+                - _log_sin_half(g + epsilon) + _log_sin_half(epsilon)) / (2.0 * omega_s * s)
+    band = abs(_log_sin_half(g - epsilon) - _log_sin_half(epsilon)) / (omega_s * s)
+    return TransitionTimes(epsilon, 1.0 / outer, 1.0 / band, 1.0 / outer)
 
 
 def action_discontinuity(lam: float, epsilon: float = 1e-3):
@@ -229,9 +227,10 @@ def final_state_density(lam: float, theta_i: float = 0.0, grid=None):
     not a density of z at one fixed time.  Weights are capped at exp(700)
     before normalizing (the trapezoid rule over the grid integrates to 1);
     the cap is a plotting regularization near the log-divergent peak, not
-    physics.
+    physics.  SingularEndpoint when theta_i is within 1e-9 of a critical angle.
     """
     _check_lambda(lam)
+    _check_nullclines(theta_i, theta_i, lam, SingularEndpoint)
     if grid is None:
         grid = np.linspace(-0.999, 0.999, 801)
     z = np.asarray(grid, dtype=float)

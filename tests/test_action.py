@@ -227,6 +227,44 @@ def test_zeno_frequencies_errors():
             zeno_frequencies(1.5, omega_s)
 
 
+@pytest.mark.parametrize("lam", [1.0001, 1.5, 3.0, 100.0])
+@pytest.mark.parametrize("eps", [1e-3, 1e-8, 1e-12])
+def test_zeno_frequencies_match_50_digit_quadrature(lam, eps):
+    mpmath = pytest.importorskip("mpmath")
+    omega_s = 0.5
+    with mpmath.workdps(50):
+        lam_mp, eps_mp = mpmath.mpf(lam), mpmath.mpf(eps)
+        t1 = -mpmath.asin(1 / lam_mp)
+        t2 = -mpmath.pi - t1
+
+        def rate(theta):
+            return 1 / abs(2 * omega_s * (1 + lam_mp * mpmath.sin(theta)))
+
+        outer = mpmath.quad(rate, [t1 + eps_mp, 0.5 * (t1 + eps_mp), 0])
+        band = mpmath.quad(rate, [t2 + eps_mp, 0.5 * (t1 + t2), t1 - eps_mp])
+        want = float(1 / outer), float(1 / band)
+    tt = zeno_frequencies(lam, omega_s, eps)
+    assert (tt.omega1, tt.omega12) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+def test_outer_frequencies_are_equal_on_the_readme_grid():
+    for lam in np.linspace(1.1, 3.0, 40):
+        tt = zeno_frequencies(float(lam), 0.5, 1e-3)
+        assert tt.omega2 == tt.omega1
+
+
+def test_zeno_frequencies_need_epsilon_inside_theta1():
+    # eps >= -theta1 = asin(1/lam) would run the outer segments backwards
+    with pytest.raises(EpsilonTooLarge, match="backwards"):
+        zeno_frequencies(2000.0, 0.5, 1e-3)
+    with pytest.raises(EpsilonTooLarge):
+        zeno_frequencies(2.0, 0.5, math.asin(0.5))
+    # lam*lam would overflow here, and the former quadrature divided by zero
+    tt = zeno_frequencies(1e200, 0.5, 1e-250)
+    for omega in (tt.omega1, tt.omega12, tt.omega2):
+        assert math.isfinite(omega) and omega > 0.0
+
+
 def test_action_discontinuity_signs():
     a1, a2, b1, b2 = action_discontinuity(1.5, 1e-3)
     assert math.copysign(1.0, a1) == math.copysign(1.0, a2)
@@ -286,6 +324,14 @@ def test_density_grid_validation():
         final_state_density(1.0)
 
 
+def test_density_starting_on_a_critical_angle_is_a_singular_endpoint():
+    for lam in (1.2, 1.5):
+        for theta in _angles(lam):
+            for theta_i in (theta, math.nextafter(theta, 0.0), theta - 5e-10):
+                with pytest.raises(SingularEndpoint):
+                    final_state_density(lam, theta_i)
+
+
 def test_density_rejects_a_two_dimensional_grid():
     with pytest.raises(ValueError, match="1-D"):
         final_state_density(0.5, grid=np.array([[-0.5, 0.0], [0.2, 0.5]]))
@@ -336,6 +382,7 @@ def test_import_and_closed_forms_load_no_scipy():
         "zenopath.action_closed_form(0.0, -1.0, 0.5)\n"
         "zenopath.final_state_density(1.5)\n"
         "zenopath.transition_time_sub_zeno(0.5, 0.5)\n"
+        "zenopath.zeno_frequencies(1.5, 0.5)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     assert _fresh_python(code) == "[]\n"

@@ -115,3 +115,46 @@ def test_runs_without_records_have_no_operation_summary(tmp_path):
     summary = bench_pairs.summarize(pairs, {"wall_s": "lower", "peak_rss_mb": "lower",
                                             "success_ratio": "higher"})
     assert "ops" not in summary["mlp"]  # one side has no record
+
+
+def test_bound_flags_on_synthetic_runs():
+    # inclusive quartiles of (1.0, 1.5, 2.0, 3.0): 1.375, 1.75, 2.25, so the
+    # parent's quartile distance is 50% of its median against a 25% bound
+    wide = [1.0, 1.5, 2.0, 3.0]
+    flags = bench_pairs.bound_flags(wide, [1.7, 1.8, 1.6, 1.9], "lower", 0.25)
+    assert flags["parent_rel_iqr"] == pytest.approx(0.5)
+    assert flags["resolved"] is False
+    assert flags["worse_beyond_bound"] is False
+    # every change run better than every parent run resolves even a wide parent
+    assert bench_pairs.bound_flags(wide, [0.5, 0.9, 0.7, 0.8], "lower", 0.25)["resolved"]
+    # a tight parent resolves the bound; a median 30% slower is worse beyond it
+    flags = bench_pairs.bound_flags([2.0, 2.1, 2.0, 2.1], [2.6, 2.7, 2.8, 2.7], "lower", 0.25)
+    assert flags["resolved"] is True
+    assert flags["worse_beyond_bound"] is True
+    # for a higher-is-better metric a drop is worse: 0.9 against 1.0 with a 5% bound
+    flags = bench_pairs.bound_flags([1.0] * 4, [0.9, 0.9, 1.0, 0.9], "higher", 0.05)
+    assert flags == {"parent_rel_iqr": 0.0, "resolved": True, "worse_beyond_bound": True}
+    # a zero parent median with spread has no relative quartile distance
+    flags = bench_pairs.bound_flags([0.0, 0.0, 0.0, 1.0], [0.5] * 4, "lower", 0.25)
+    assert flags["parent_rel_iqr"] is None and flags["resolved"] is False
+
+
+def test_unresolved_and_worse_metrics_are_marked_and_printed(tmp_path, capsys):
+    walls = {1: (1.0, 1.7), 2: (1.5, 1.8), 3: (2.0, 1.6), 4: (3.0, 1.9)}
+    order = 0
+    for seed, (pw, cw) in walls.items():
+        for side, wall, rss in (("parent", pw, 50.0), ("change", cw, 60.0)):
+            order += 1
+            _write_run(tmp_path / f"{order:02d}-figures-{seed}-{side}.out", seed, wall, rss)
+    out = tmp_path / "BENCH_99.json"
+    assert bench_pairs.main([str(tmp_path), "-o", str(out)]) == 0
+    entry = json.loads(out.read_text())["summary"]["figures"]
+    assert entry["wall_s"]["parent_rel_iqr"] == pytest.approx(0.5)
+    assert entry["wall_s"]["resolved"] is False
+    assert entry["peak_rss_mb"]["resolved"] is True
+    assert entry["peak_rss_mb"]["worse_beyond_bound"] is True  # 60 MB against 50, bound 5%
+    assert entry["success_ratio"]["worse_beyond_bound"] is False
+    printed = capsys.readouterr().out
+    assert "unresolved: wall_s, parent IQR 50% of its median against a bound of 25%" in printed
+    assert "worse beyond bound: peak_rss_mb" in printed
+    assert "unresolved: peak_rss_mb" not in printed

@@ -431,6 +431,16 @@ def test_zeno_frequencies_below_lambda_one_is_no_zeno_regime(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("theta_i", ["-0.7297276562269663", "-0.7297276562269662"])
+def test_density_from_a_critical_angle_is_a_singular_endpoint(tmp_path, capsys, theta_i):
+    # theta1 at lam 1.5 and one ulp above it: a math domain error and a
+    # ZeroDivisionError before the start angle was checked
+    out = tmp_path / "d.csv"
+    assert main(["density", "--lambda", "1.5", f"--theta-i={theta_i}", "-o", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error[SingularEndpoint]")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mlp_memory_does_not_grow_with_the_path(tmp_path, monkeypatch):
     # the table flows in blocks: 6x the steps may not take 1.5x the peak memory.
     # Blocks of 16 rows keep both runs many blocks long at a size that is quick

@@ -17,12 +17,17 @@ The output keeps, under ``runs``, both sides' ``env`` and result of every
 pair, and under ``summary``, per workload and end-to-end metric: each side's
 median and quartiles (inclusive method, which is numpy.percentile's linear
 one), the distance between the parent's quartiles, and in how many pairs
-the change is strictly better (the direction comes from BENCHMARK.json).  It
-also counts the pairs whose printed output digests are identical.  Where
-every run of a workload has its record, each pair also keeps both sides'
-median seconds per operation, and the summary each operation's median over
-the pairs of those medians and in how many pairs the change is faster; the
-operations of different pairs are matched by their place in the pass.
+the change is strictly better (the direction comes from BENCHMARK.json).
+Against each metric's ``bound`` from BENCHMARK.json it marks whether the
+runs resolve the bound (the parent's quartile distance is at most bound x
+|parent median|, or every change run is better than every parent run) and
+whether the change median is worse than the parent's by more than bound x
+|parent median|; the unresolved metrics are printed.  It also counts the
+pairs whose printed output digests are identical.  Where every run of a
+workload has its record, each pair also keeps both sides' median seconds
+per operation, and the summary each operation's median over the pairs of
+those medians and in how many pairs the change is faster; the operations
+of different pairs are matched by their place in the pass.
 Other top-level keys of an existing output file, such as notes on the
 claim, are kept.  Standard library only.
 """
@@ -104,7 +109,23 @@ def operation_names(runs: list) -> list:
             for k in range(len(labels[0]))]
 
 
-def summarize(pairs: list, better: dict) -> dict:
+def bound_flags(parent: list, change: list, better: str, bound: float) -> dict:
+    """The parent's quartile distance relative to its median, whether the runs
+    resolve ``bound`` and whether the change median is worse beyond it."""
+    pq1, pmed, pq3 = quartiles(parent)
+    sign = 1.0 if better == "higher" else -1.0
+    rel_iqr = (pq3 - pq1) / abs(pmed) if pmed else (0.0 if pq3 == pq1 else None)
+    separated = min(sign * c for c in change) > max(sign * p for p in parent)
+    return {
+        "parent_rel_iqr": rel_iqr,
+        "resolved": (rel_iqr is not None and rel_iqr <= bound) or separated,
+        "worse_beyond_bound": sign * (quartiles(change)[1] - pmed) < -bound * abs(pmed),
+    }
+
+
+def summarize(pairs: list, better: dict, bounds: dict = None) -> dict:
+    """Per workload and end-to-end metric, each side's median and quartiles,
+    and, for the metrics named in ``bounds``, :func:`bound_flags`."""
     summary = {}
     for workload in dict.fromkeys(p[0] for p in pairs):
         runs = [sides for w, _, _, sides in pairs if w == workload]
@@ -126,6 +147,9 @@ def summarize(pairs: list, better: dict) -> dict:
                 "change_better_in": sum(sign * (c - p) > 0.0 for p, c in
                                         zip(values["parent"], values["change"])),
             }
+            if bounds and name in bounds:
+                entry[name].update(bound_flags(values["parent"], values["change"],
+                                               better[name], bounds[name]))
         entry["attempted_failed"] = {
             side: [[r[side]["result"]["attempted"], r[side]["result"]["failed"]]
                    for r in runs] for side in SIDES}
@@ -152,8 +176,9 @@ def main(argv=None) -> int:
     parser.add_argument("-o", "--output", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    better = {m["name"]: m["better"]
-              for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
     pairs = load_pairs(args.pairs_dir)
     if not pairs:
         print(f"error: no <order>-<workload>-<seed>-<side>.out files in {args.pairs_dir}",
@@ -163,11 +188,15 @@ def main(argv=None) -> int:
     record["summary_notes"] = (
         "medians and quartiles over the runs of each side (inclusive quartiles, "
         "as numpy.percentile's linear method); change_better_in counts pairs in "
-        "which the change is strictly better; digests_equal_in counts pairs whose "
+        "which the change is strictly better; parent_rel_iqr is the parent's "
+        "quartile distance over |parent median|, resolved says it is at most the "
+        "metric's BENCHMARK.json bound or every change run beats every parent run, "
+        "and worse_beyond_bound that the change median is worse than the parent's "
+        "by more than bound x |parent median|; digests_equal_in counts pairs whose "
         "output digests are identical; ops holds, per operation, the median over "
         "the pairs of each side's median seconds per pass (runs[].<side>.ops), and "
         "change_faster_in the pairs in which the change's is lower")
-    record["summary"] = summarize(pairs, better)
+    record["summary"] = summarize(pairs, better, bounds)
     record["runs"] = [
         {"workload": workload, "seed": seed, "first": first,
          **{side: {key: sides[side][key] for key in ("env", "result", "ops")
@@ -181,6 +210,15 @@ def main(argv=None) -> int:
             print(f"{workload}: {entry['pairs']} pairs, wall_s {wall['parent_median']:.4g} -> "
                   f"{wall['change_median']:.4g} s, change better in "
                   f"{wall['change_better_in']}; digests equal in {entry['digests_equal_in']}")
+        for name, bound in bounds.items():
+            metric = entry.get(name, {})
+            if metric.get("resolved") is False:
+                rel = metric["parent_rel_iqr"]
+                print(f"  unresolved: {name}, parent IQR "
+                      f"{'undefined' if rel is None else f'{rel:.0%}'} of its median "
+                      f"against a bound of {bound:.0%}")
+            if metric.get("worse_beyond_bound"):
+                print(f"  worse beyond bound: {name}")
         for label, op in entry.get("ops", {}).items():
             print(f"  {op['parent_median_s']:.4g} -> {op['change_median_s']:.4g} s, faster in "
                   f"{op['change_faster_in']}: {label}")
