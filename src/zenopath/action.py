@@ -147,11 +147,6 @@ def transition_time_sub_zeno(lam: float, omega_s: float) -> float:
     return (math.pi + 2.0 * math.atan(lam / s)) / (2.0 * omega_s * s)
 
 
-def _log_sin_half(d: float) -> float:
-    """S(d) = log|sin(d/2)|, the primitive of cot(d/2)/2."""
-    return math.log(abs(math.sin(0.5 * d)))
-
-
 def _zeno_angles(lam: float, epsilon: float, what: str):
     """The critical angles, once lam > 1 and the inset epsilon fits between them."""
     zeno_regime(lam, what)
@@ -181,11 +176,13 @@ def zeno_frequencies(lam: float, omega_s: float, epsilon: float = 1e-3) -> Trans
         raise EpsilonTooLarge(f"epsilon = {epsilon} does not fit between theta1 = {t1:.6f} "
                               "and 0: the outer segments would run backwards")
     # 1 + lam sin(theta) = 2 lam sin((theta-t1)/2) sin((theta-t2)/2), so a segment
-    # takes |dPsi| / (2 Omega_s s) with Psi(theta) = S(theta-t2) - S(theta-t1)
+    # takes |dPsi| / (2 Omega_s s) with Psi(theta) = S(theta-t2) - S(theta-t1) and
+    # S(d) = log|sin(d/2)|.  Each dPsi is the log of one ratio of sines, which
+    # stays accurate as the outer segment shrinks (eps -> -t1).
     s, g = math.sqrt(lam - 1.0) * math.sqrt(lam + 1.0), t1 - t2  # no lam*lam to overflow
-    outer = abs(_log_sin_half(t2) - _log_sin_half(t1)
-                - _log_sin_half(g + epsilon) + _log_sin_half(epsilon)) / (2.0 * omega_s * s)
-    band = abs(_log_sin_half(g - epsilon) - _log_sin_half(epsilon)) / (omega_s * s)
+    h1, h2, he = (math.sin(0.5 * d) for d in (t1, t2, epsilon))
+    outer = abs(math.log(he / h1 * (h2 / math.sin(0.5 * (g + epsilon))))) / (2.0 * omega_s * s)
+    band = math.log(math.sin(0.5 * (g - epsilon)) / he) / (omega_s * s)
     return TransitionTimes(epsilon, 1.0 / outer, 1.0 / band, 1.0 / outer)
 
 

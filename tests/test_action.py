@@ -227,11 +227,10 @@ def test_zeno_frequencies_errors():
             zeno_frequencies(1.5, omega_s)
 
 
-@pytest.mark.parametrize("lam", [1.0001, 1.5, 3.0, 100.0])
-@pytest.mark.parametrize("eps", [1e-3, 1e-8, 1e-12])
-def test_zeno_frequencies_match_50_digit_quadrature(lam, eps):
+def _mp_frequencies(lam, omega_s, eps):
+    """(omega1, omega12) by 50-digit quadrature, from the exact critical angles
+    of the double lam."""
     mpmath = pytest.importorskip("mpmath")
-    omega_s = 0.5
     with mpmath.workdps(50):
         lam_mp, eps_mp = mpmath.mpf(lam), mpmath.mpf(eps)
         t1 = -mpmath.asin(1 / lam_mp)
@@ -242,9 +241,27 @@ def test_zeno_frequencies_match_50_digit_quadrature(lam, eps):
 
         outer = mpmath.quad(rate, [t1 + eps_mp, 0.5 * (t1 + eps_mp), 0])
         band = mpmath.quad(rate, [t2 + eps_mp, 0.5 * (t1 + t2), t1 - eps_mp])
-        want = float(1 / outer), float(1 / band)
-    tt = zeno_frequencies(lam, omega_s, eps)
-    assert (tt.omega1, tt.omega12) == pytest.approx(want, rel=1e-11, abs=0.0)
+        return float(1 / outer), float(1 / band), float(abs(t1 + eps_mp) / -t1)
+
+
+@pytest.mark.parametrize("lam", [1.0001, 1.5, 3.0, 100.0])
+@pytest.mark.parametrize("eps", [1e-3, 1e-8, 1e-12])
+def test_zeno_frequencies_match_50_digit_quadrature(lam, eps):
+    omega1, omega12, _ = _mp_frequencies(lam, 0.5, eps)
+    tt = zeno_frequencies(lam, 0.5, eps)
+    assert (tt.omega1, tt.omega12) == pytest.approx((omega1, omega12), rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [100.0, 1e4])
+@pytest.mark.parametrize("gap", [1e-3, 1e-6])
+def test_outer_frequency_as_epsilon_nears_its_limit(lam, gap):
+    # eps -> asin(1/lam) shrinks the outer segment to |theta1 + eps|; the
+    # rounding of theta1 alone then costs about an ulp x |theta1| / |theta1 + eps|,
+    # and the result may lose no more than four machine epsilons times that
+    eps = math.asin(1.0 / lam) * (1.0 - gap)
+    omega1, _, shrink = _mp_frequencies(lam, 0.5, eps)
+    rel = abs(zeno_frequencies(lam, 0.5, eps).omega1 / omega1 - 1.0)
+    assert rel <= 4.0 * sys.float_info.epsilon / shrink
 
 
 def test_outer_frequencies_are_equal_on_the_readme_grid():

@@ -10,6 +10,7 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
+METRICS = {m["name"]: m for m in json.loads(bench_pairs.BENCHMARK.read_text())["end_to_end"]}
 
 
 def _write_run(path, seed, wall, rss, digest="ab12"):
@@ -112,30 +113,40 @@ def test_runs_without_records_have_no_operation_summary(tmp_path):
     (tmp_path / "02-mlp-7-change.json").write_text(
         json.dumps({"samples": {"ops": [{"mlp": 1.9}]}}))
     pairs = bench_pairs.load_pairs(tmp_path)
-    summary = bench_pairs.summarize(pairs, {"wall_s": "lower", "peak_rss_mb": "lower",
-                                            "success_ratio": "higher"})
+    summary = bench_pairs.summarize(pairs, METRICS)
     assert "ops" not in summary["mlp"]  # one side has no record
+
+
+def _flags(name, parent, change):
+    """The bound flags of ``name`` for synthetic runs that report it alone."""
+    def run(value):
+        return {"env": {}, "digests": {}, "result": {
+            "correct": True, "attempted": 1, "failed": 0, "metrics": {name: {"value": value}}}}
+    pairs = [("figures", seed, "parent", {"parent": run(p), "change": run(c)})
+             for seed, (p, c) in enumerate(zip(parent, change))]
+    entry = bench_pairs.summarize(pairs, METRICS)["figures"][name]
+    return {key: entry[key] for key in ("parent_rel_iqr", "resolved", "worse_beyond_bound")}
 
 
 def test_bound_flags_on_synthetic_runs():
     # inclusive quartiles of (1.0, 1.5, 2.0, 3.0): 1.375, 1.75, 2.25, so the
-    # parent's quartile distance is 50% of its median against a 25% bound
+    # parent's quartile distance is 50% of its median against wall_s's 25% bound
     wide = [1.0, 1.5, 2.0, 3.0]
-    flags = bench_pairs.bound_flags(wide, [1.7, 1.8, 1.6, 1.9], "lower", 0.25)
+    flags = _flags("wall_s", wide, [1.7, 1.8, 1.6, 1.9])
     assert flags["parent_rel_iqr"] == pytest.approx(0.5)
     assert flags["resolved"] is False
     assert flags["worse_beyond_bound"] is False
     # every change run better than every parent run resolves even a wide parent
-    assert bench_pairs.bound_flags(wide, [0.5, 0.9, 0.7, 0.8], "lower", 0.25)["resolved"]
+    assert _flags("wall_s", wide, [0.5, 0.9, 0.7, 0.8])["resolved"]
     # a tight parent resolves the bound; a median 30% slower is worse beyond it
-    flags = bench_pairs.bound_flags([2.0, 2.1, 2.0, 2.1], [2.6, 2.7, 2.8, 2.7], "lower", 0.25)
+    flags = _flags("wall_s", [2.0, 2.1, 2.0, 2.1], [2.6, 2.7, 2.8, 2.7])
     assert flags["resolved"] is True
     assert flags["worse_beyond_bound"] is True
     # for a higher-is-better metric a drop is worse: 0.9 against 1.0 with a 5% bound
-    flags = bench_pairs.bound_flags([1.0] * 4, [0.9, 0.9, 1.0, 0.9], "higher", 0.05)
+    flags = _flags("success_ratio", [1.0] * 4, [0.9, 0.9, 1.0, 0.9])
     assert flags == {"parent_rel_iqr": 0.0, "resolved": True, "worse_beyond_bound": True}
     # a zero parent median with spread has no relative quartile distance
-    flags = bench_pairs.bound_flags([0.0, 0.0, 0.0, 1.0], [0.5] * 4, "lower", 0.25)
+    flags = _flags("wall_s", [0.0, 0.0, 0.0, 1.0], [0.5] * 4)
     assert flags["parent_rel_iqr"] is None and flags["resolved"] is False
 
 

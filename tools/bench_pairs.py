@@ -109,47 +109,36 @@ def operation_names(runs: list) -> list:
             for k in range(len(labels[0]))]
 
 
-def bound_flags(parent: list, change: list, better: str, bound: float) -> dict:
-    """The parent's quartile distance relative to its median, whether the runs
-    resolve ``bound`` and whether the change median is worse beyond it."""
-    pq1, pmed, pq3 = quartiles(parent)
-    sign = 1.0 if better == "higher" else -1.0
-    rel_iqr = (pq3 - pq1) / abs(pmed) if pmed else (0.0 if pq3 == pq1 else None)
-    separated = min(sign * c for c in change) > max(sign * p for p in parent)
-    return {
-        "parent_rel_iqr": rel_iqr,
-        "resolved": (rel_iqr is not None and rel_iqr <= bound) or separated,
-        "worse_beyond_bound": sign * (quartiles(change)[1] - pmed) < -bound * abs(pmed),
-    }
-
-
-def summarize(pairs: list, better: dict, bounds: dict = None) -> dict:
-    """Per workload and end-to-end metric, each side's median and quartiles,
-    and, for the metrics named in ``bounds``, :func:`bound_flags`."""
+def summarize(pairs: list, metrics: dict) -> dict:
+    """Per workload and end-to-end metric, each side's median and quartiles and
+    the flags of the metric's bound; ``metrics`` maps each name to its entry in
+    BENCHMARK.json, which gives ``better`` and ``bound``."""
     summary = {}
     for workload in dict.fromkeys(p[0] for p in pairs):
         runs = [sides for w, _, _, sides in pairs if w == workload]
         entry = {"pairs": len(runs)}
         for name in runs[0]["parent"]["result"]["metrics"]:
-            if name not in better:
+            if name not in metrics:
                 raise ValueError(f"{name} is not an end-to-end metric of BENCHMARK.json")
-            values = {side: [r[side]["result"]["metrics"][name]["value"] for r in runs]
-                      for side in SIDES}
-            pq1, pmed, pq3 = quartiles(values["parent"])
-            cq1, cmed, cq3 = quartiles(values["change"])
-            sign = 1.0 if better[name] == "higher" else -1.0
+            parent, change = ([r[side]["result"]["metrics"][name]["value"] for r in runs]
+                              for side in SIDES)
+            pq1, pmed, pq3 = quartiles(parent)
+            cq1, cmed, cq3 = quartiles(change)
+            sign = 1.0 if metrics[name]["better"] == "higher" else -1.0
+            bound = metrics[name]["bound"]
+            rel_iqr = (pq3 - pq1) / abs(pmed) if pmed else (0.0 if pq3 == pq1 else None)
+            separated = min(sign * c for c in change) > max(sign * p for p in parent)
             entry[name] = {
                 "parent_median": pmed,
                 "change_median": cmed,
                 "parent_quartiles": [pq1, pq3],
                 "change_quartiles": [cq1, cq3],
                 "parent_iqr": pq3 - pq1,
-                "change_better_in": sum(sign * (c - p) > 0.0 for p, c in
-                                        zip(values["parent"], values["change"])),
+                "change_better_in": sum(sign * (c - p) > 0.0 for p, c in zip(parent, change)),
+                "parent_rel_iqr": rel_iqr,
+                "resolved": (rel_iqr is not None and rel_iqr <= bound) or separated,
+                "worse_beyond_bound": sign * (cmed - pmed) < -bound * abs(pmed),
             }
-            if bounds and name in bounds:
-                entry[name].update(bound_flags(values["parent"], values["change"],
-                                               better[name], bounds[name]))
         entry["attempted_failed"] = {
             side: [[r[side]["result"]["attempted"], r[side]["result"]["failed"]]
                    for r in runs] for side in SIDES}
@@ -176,9 +165,7 @@ def main(argv=None) -> int:
     parser.add_argument("-o", "--output", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
-    better = {m["name"]: m["better"] for m in metrics}
-    bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
+    metrics = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     pairs = load_pairs(args.pairs_dir)
     if not pairs:
         print(f"error: no <order>-<workload>-<seed>-<side>.out files in {args.pairs_dir}",
@@ -196,7 +183,7 @@ def main(argv=None) -> int:
         "output digests are identical; ops holds, per operation, the median over "
         "the pairs of each side's median seconds per pass (runs[].<side>.ops), and "
         "change_faster_in the pairs in which the change's is lower")
-    record["summary"] = summarize(pairs, better, bounds)
+    record["summary"] = summarize(pairs, metrics)
     record["runs"] = [
         {"workload": workload, "seed": seed, "first": first,
          **{side: {key: sides[side][key] for key in ("env", "result", "ops")
@@ -210,13 +197,13 @@ def main(argv=None) -> int:
             print(f"{workload}: {entry['pairs']} pairs, wall_s {wall['parent_median']:.4g} -> "
                   f"{wall['change_median']:.4g} s, change better in "
                   f"{wall['change_better_in']}; digests equal in {entry['digests_equal_in']}")
-        for name, bound in bounds.items():
+        for name in metrics:
             metric = entry.get(name, {})
             if metric.get("resolved") is False:
                 rel = metric["parent_rel_iqr"]
                 print(f"  unresolved: {name}, parent IQR "
                       f"{'undefined' if rel is None else f'{rel:.0%}'} of its median "
-                      f"against a bound of {bound:.0%}")
+                      f"against a bound of {metrics[name]['bound']:.0%}")
             if metric.get("worse_beyond_bound"):
                 print(f"  worse beyond bound: {name}")
         for label, op in entry.get("ops", {}).items():
