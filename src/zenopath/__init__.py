@@ -55,7 +55,6 @@ from .diffusive import (
     EnsembleStats,
     ExtendedState,
     MLPTrajectory,
-    WienerStream,
     ensemble_stats,
     integrate_mlp,
     mlp_fixed_point,
@@ -66,6 +65,7 @@ from .diffusive import (
     sme_rhs,
     stochastic_hamiltonian,
     survival_log_weight,
+    wiener_increments,
 )
 
 __version__ = "0.1.0"

@@ -41,7 +41,6 @@ from .action import (
 from .diffusive import (
     DiffusiveParams,
     ExtendedState,
-    WienerStream,
     ensemble_stats,
     mlp_pieces,
     sample_trajectory,
@@ -284,8 +283,7 @@ def _cmd_density(args):
 def _cmd_trajectory(args):
     params = _diffusive_params(args)
     b0 = BlochState(args.x0, args.y0, args.z0)
-    stream = WienerStream(seed=args.seed, dt=args.dt, gaussian=args.gaussian)
-    traj = sample_trajectory(b0, params, args.dt, args.t_end, stream)
+    traj = sample_trajectory(b0, params, args.dt, args.t_end, args.seed, args.gaussian)
     table = np.column_stack((traj.t, traj.bloch, traj.readout))
     return ["time_ns", "x", "y", "z", "readout"], table
 

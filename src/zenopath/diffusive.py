@@ -63,8 +63,8 @@ class DiffusiveParams:
 
 @dataclass(frozen=True)
 class ExtendedState:
-    """Bloch coordinates plus conjugate momenta; ``r`` is the derived readout
-    (filled by the most-likely-path integrator, nan otherwise)."""
+    """Bloch coordinates plus conjugate momenta; the readout they pin is
+    :func:`readout_constraint`."""
 
     x: float
     y: float
@@ -72,7 +72,6 @@ class ExtendedState:
     p_x: float
     p_y: float
     p_z: float
-    r: float = math.nan
 
     def coords(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
@@ -81,34 +80,19 @@ class ExtendedState:
         return np.array([self.x, self.y, self.z, self.p_x, self.p_y, self.p_z])
 
 
-@dataclass(frozen=True)
-class WienerStream:
-    """Reproducible source of Wiener increments.
+def wiener_increments(seed: int, dt: float, n: int, gaussian: bool = False) -> np.ndarray:
+    """n Wiener increments drawn from ``seed``: binary +-sqrt(dt) steps, or
+    N(0, dt) ones if ``gaussian``.  Equal arguments give bit-identical arrays."""
+    return _draw(np.random.default_rng(seed), dt, n, gaussian)
 
-    ``increments(n)`` always restarts from ``seed``, so equal seeds give
-    bit-identical streams.  Binary +-sqrt(dt) steps are the default; set
-    ``gaussian=True`` for N(0, dt) increments.
-    """
 
-    seed: int
-    dt: float
-    gaussian: bool = False
-
-    def increments(self, n: int) -> np.ndarray:
-        return self._draw(np.random.default_rng(self.seed), n)
-
-    def chunks(self, n: int, size: int):
-        """The first n increments as consecutive arrays of at most ``size``;
-        concatenated they equal ``increments(n)``."""
-        rng = np.random.default_rng(self.seed)
-        for start in range(0, n, size):
-            yield self._draw(rng, min(size, n - start))
-
-    def _draw(self, rng, n: int) -> np.ndarray:
-        root_dt = math.sqrt(self.dt)
-        if self.gaussian:
-            return rng.normal(0.0, root_dt, n)
-        return (2.0 * rng.integers(0, 2, n) - 1.0) * root_dt
+def _draw(rng, dt, n, gaussian):
+    """The next n increments of ``rng``: successive draws concatenate to one
+    draw of their total length (notes/decisions.md, section 6)."""
+    root_dt = math.sqrt(dt)
+    if gaussian:
+        return rng.normal(0.0, root_dt, n)
+    return (2.0 * rng.integers(0, 2, n) - 1.0) * root_dt
 
 
 def readout_constraint(s: ExtendedState, params: DiffusiveParams) -> float:
@@ -162,17 +146,17 @@ def sample_trajectory(
     params: DiffusiveParams,
     dt: float,
     t_end: float,
-    stream: WienerStream,
+    seed: int,
+    gaussian: bool = False,
 ) -> DiffusiveTrajectory:
-    """Sample one conditioned trajectory from b0 up to t_end.
+    """Sample one conditioned trajectory from b0 up to t_end, driven by
+    :func:`wiener_increments` of (seed, dt, gaussian).
 
     Raises StepTooLarge when dt > tau/10; warns when t_end exceeds tau (the
-    weak-coupling window).  Deterministic given (stream.seed, dt).
+    weak-coupling window).  Deterministic given (seed, dt, gaussian).
     """
     n_steps, t = _sampling_steps(params, dt, t_end)
-    if stream.dt != dt:
-        raise ValueError(f"stream.dt = {stream.dt} does not match dt = {dt}")
-    dw = stream.increments(n_steps + 1)  # one readout per row of the path
+    dw = wiener_increments(seed, dt, n_steps + 1, gaussian)  # one readout per row of the path
     path = _kernels.diffusive_walk(
         b0.x, b0.y, b0.z, params.omega_s, params.alpha, dt, dw[:-1]
     )
@@ -213,7 +197,7 @@ class MLPTrajectory:
 
     def state(self, i: int) -> ExtendedState:
         row = self.states[i]
-        return ExtendedState(*map(float, row), r=float(self.readout[i]))
+        return ExtendedState(*map(float, row))
 
     def hamiltonian(self, params: DiffusiveParams) -> np.ndarray:
         return _hamiltonian(*self.states.T, params.omega_s, params.alpha)
@@ -293,7 +277,6 @@ def mlp_fixed_point(params: DiffusiveParams) -> ExtendedState:
         p_x=0.0,
         p_y=1.0 / (2.0 * lam * z * z),
         p_z=1.0 / (2.0 * z),
-        r=0.0,
     )
 
 
@@ -340,18 +323,16 @@ def ensemble_stats(
 
     Trajectory k uses seed ``base_seed + k`` and enters the weighted Welford
     update in that order, so n = 1 reproduces :func:`sample_trajectory` with
-    ``base_seed`` exactly.  All n trajectories are stepped together, in blocks
-    of ``_BLOCK_STEPS`` time steps, with the arithmetic of the single sampler
-    (notes/decisions.md, section 6): only one block of paths is held at once.
+    (``base_seed``, ``gaussian``) exactly.  All n trajectories are stepped
+    together, in blocks of ``_BLOCK_STEPS`` time steps, with the arithmetic of
+    the single sampler and one generator per trajectory (notes/decisions.md,
+    section 6): only one block of paths is held at once.
     Same checks and warning as :func:`sample_trajectory`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     n_steps, t = _sampling_steps(params, dt, t_end)
-    draws = [
-        WienerStream(seed=base_seed + k, dt=dt, gaussian=gaussian).chunks(n_steps, _BLOCK_STEPS)
-        for k in range(n)
-    ]
+    rngs = [np.random.default_rng(base_seed + k) for k in range(n)]
     mean = np.zeros((n_steps + 1, 3))
     var = np.zeros((n_steps + 1, 3))
     log_w = np.full(n_steps + 1, -np.inf)
@@ -361,7 +342,8 @@ def ensemble_stats(
     z = np.full(n, b0.z, dtype=float)
     decay = np.zeros(n)  # each trajectory's -log weight at the block's first row
     for start in range(0, n_steps, _BLOCK_STEPS):
-        dw = np.array([next(d) for d in draws]).T
+        size = min(_BLOCK_STEPS, n_steps - start)
+        dw = np.array([_draw(rng, dt, size, gaussian) for rng in rngs]).T
         block = _kernels.diffusive_walk_batch(x, y, z, params.omega_s, params.alpha, dt, dw)
         x, y, z = block[-1]
         paths = block.transpose(2, 0, 1)  # (n, steps + 1, 3), a view
@@ -369,7 +351,7 @@ def ensemble_stats(
         decay = -lw[:, -1]
         # the first row of a later block is the last row of the one before
         first = 0 if start == 0 else 1
-        rows = slice(start + first, start + dw.shape[0] + 1)
+        rows = slice(start + first, start + size + 1)
         # (sum w)^2 / sum w^2 over the block's weights relative to the largest:
         # exactly n when all weights are equal
         rel = np.exp(lw[:, first:] - lw[:, first:].max(axis=0))

@@ -22,7 +22,6 @@ from zenopath import (
     PhaseParams,
     PhasePoint,
     StalledAtFixedPoint,
-    WienerStream,
     action_closed_form,
     action_discontinuity,
     action_quadrature,
@@ -36,6 +35,7 @@ from zenopath import (
     mlp_fixed_point,
     sample_trajectory,
     transition_time_sub_zeno,
+    wiener_increments,
 )
 
 OMEGA_S = 0.5
@@ -180,13 +180,12 @@ def test_criterion_08_mc_ode_equivalence(rk4_drift_endpoint):
 
 def test_criterion_09_diffusive_rabi_recovery():
     params = DiffusiveParams(omega_s=OMEGA_S, alpha=0.0, tau=100.0)
-    stream = WienerStream(seed=1, dt=1e-3)
-    traj = sample_trajectory(BlochState(0, 0, 1), params, 1e-3, 4 * math.pi, stream)
+    traj = sample_trajectory(BlochState(0, 0, 1), params, 1e-3, 4 * math.pi, 1)
     ok = np.max(np.abs(traj.bloch[:, 1] + np.sin(traj.t))) < 1e-8
     ok = ok and np.max(np.abs(traj.bloch[:, 2] - np.cos(traj.t))) < 1e-8
     v = np.array([0.7, 0.2, 0.685])
     v /= np.linalg.norm(v)
-    traj = sample_trajectory(BlochState(*v), params, 1e-3, 4 * math.pi, stream)
+    traj = sample_trajectory(BlochState(*v), params, 1e-3, 4 * math.pi, 1)
     ok = ok and np.max(np.abs(traj.bloch[:, 0] - v[0])) < 1e-12
     assert _report(9, ok, "alpha=0 sampler is exact Rabi with constant x")
 
@@ -267,7 +266,7 @@ def _null_record_stationary_z(omega_s, alpha, dephasing):
 
 
 def test_criterion_11_wiener_statistics():
-    inc = WienerStream(seed=2024, dt=1e-3).increments(1_000_000)
+    inc = wiener_increments(2024, 1e-3, 1_000_000)
     mean_ok = abs(inc.mean()) < 4 * math.sqrt(1e-3 / 1e6)
     var_ok = abs(inc.var() - 1e-3) / 1e-3 < 0.01
     assert _report(11, mean_ok and var_ok, "1e6 binary increments pass mean/variance tests")

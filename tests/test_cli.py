@@ -328,7 +328,7 @@ def test_json_floats_read_back_identical(tmp_path):
 
 
 def test_trajectory_json_is_strict_with_one_readout_per_row(tmp_path):
-    from zenopath import DiffusiveParams, WienerStream, _kernels
+    from zenopath import DiffusiveParams, _kernels, wiener_increments
 
     out = tmp_path / "t.json"
     assert main(["trajectory", "--lambda", "1.5", "--seed", "5", "--t-end", "1",
@@ -340,11 +340,10 @@ def test_trajectory_json_is_strict_with_one_readout_per_row(tmp_path):
     rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
     n, dt = 1000, 1e-3
     params = DiffusiveParams.from_lambda(0.5, 1.5, tau=100.0)
-    stream = WienerStream(seed=5, dt=dt)
     bloch = _kernels.diffusive_walk(
-        0.0, 0.0, 1.0, params.omega_s, params.alpha, dt, stream.increments(n)
+        0.0, 0.0, 1.0, params.omega_s, params.alpha, dt, wiener_increments(5, dt, n)
     )
-    readout = math.sqrt(100.0) * stream.increments(n + 1) / dt
+    readout = math.sqrt(100.0) * wiener_increments(5, dt, n + 1) / dt
     assert rows == np.column_stack((np.arange(n + 1) * dt, bloch, readout)).tolist()
 
 

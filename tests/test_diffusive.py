@@ -15,7 +15,6 @@ from zenopath import (
     StalledAtFixedPoint,
     StepTooLarge,
     WeakCouplingWarning,
-    WienerStream,
     critical_points,
     drift_rhs,
     ensemble_stats,
@@ -30,6 +29,7 @@ from zenopath import (
     sme_rhs,
     stochastic_hamiltonian,
     survival_log_weight,
+    wiener_increments,
 )
 from zenopath import _kernels, diffusive
 
@@ -40,7 +40,7 @@ GENERIC_IC = ExtendedState(0.0, 0.4, 0.916, 0.5, 0.3, 0.2)
 
 
 def test_wiener_statistics_binary():
-    inc = WienerStream(seed=2024, dt=1e-3).increments(1_000_000)
+    inc = wiener_increments(2024, 1e-3, 1_000_000)
     assert abs(inc.mean()) < 4 * math.sqrt(1e-3 / 1e6)
     assert abs(inc.var() - 1e-3) / 1e-3 < 0.01
     magnitudes = np.unique(np.abs(inc))
@@ -48,14 +48,14 @@ def test_wiener_statistics_binary():
 
 
 def test_wiener_statistics_gaussian():
-    inc = WienerStream(seed=2024, dt=1e-3, gaussian=True).increments(1_000_000)
+    inc = wiener_increments(2024, 1e-3, 1_000_000, True)
     assert abs(inc.mean()) < 4 * math.sqrt(1e-3 / 1e6)
     assert abs(inc.var() - 1e-3) / 1e-3 < 0.01
 
 
 def test_wiener_stream_reproducible():
-    a = WienerStream(seed=5, dt=1e-3).increments(1000)
-    b = WienerStream(seed=5, dt=1e-3).increments(1000)
+    a = wiener_increments(5, 1e-3, 1000)
+    b = wiener_increments(5, 1e-3, 1000)
     assert np.array_equal(a, b)
 
 
@@ -105,8 +105,7 @@ def test_sme_rhs_matches_kraus_update_to_second_order():
 
 def test_trajectory_pure_rabi_recovery():
     params = DiffusiveParams(omega_s=0.5, alpha=0.0, tau=100.0)
-    stream = WienerStream(seed=1, dt=1e-3)
-    traj = sample_trajectory(BlochState(0, 0, 1), params, 1e-3, 4 * math.pi, stream)
+    traj = sample_trajectory(BlochState(0, 0, 1), params, 1e-3, 4 * math.pi, 1)
     assert np.max(np.abs(traj.bloch[:, 1] + np.sin(traj.t))) < 1e-8
     assert np.max(np.abs(traj.bloch[:, 2] - np.cos(traj.t))) < 1e-8
     assert np.max(np.abs(traj.bloch[:, 0])) < 1e-12
@@ -116,34 +115,26 @@ def test_trajectory_x_constant_without_measurement():
     params = DiffusiveParams(omega_s=0.5, alpha=0.0, tau=100.0)
     v = np.array([0.7, 0.2, 0.685])
     v /= np.linalg.norm(v)
-    stream = WienerStream(seed=1, dt=1e-3)
-    traj = sample_trajectory(BlochState(*v), params, 1e-3, 4 * math.pi, stream)
+    traj = sample_trajectory(BlochState(*v), params, 1e-3, 4 * math.pi, 1)
     assert np.max(np.abs(traj.bloch[:, 0] - v[0])) < 1e-12
 
 
 def test_trajectory_deterministic_given_seed():
-    a = sample_trajectory(
-        BlochState(0, 0, 1), PARAMS_15, 1e-3, 5.0, WienerStream(seed=7, dt=1e-3)
-    )
-    b = sample_trajectory(
-        BlochState(0, 0, 1), PARAMS_15, 1e-3, 5.0, WienerStream(seed=7, dt=1e-3)
-    )
+    a = sample_trajectory(BlochState(0, 0, 1), PARAMS_15, 1e-3, 5.0, 7)
+    b = sample_trajectory(BlochState(0, 0, 1), PARAMS_15, 1e-3, 5.0, 7)
     assert np.array_equal(a.bloch, b.bloch)
     assert np.array_equal(a.readout, b.readout)
 
 
 def test_trajectory_stays_normalized():
-    traj = sample_trajectory(
-        BlochState(0, 0, 1), PARAMS_15, 1e-3, 10.0, WienerStream(seed=9, dt=1e-3)
-    )
+    traj = sample_trajectory(BlochState(0, 0, 1), PARAMS_15, 1e-3, 10.0, 9)
     norms = np.linalg.norm(traj.bloch, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
 def test_trajectory_readout_convention():
-    stream = WienerStream(seed=3, dt=1e-3)
-    traj = sample_trajectory(BlochState(0, 0, 1), PARAMS_15, 1e-3, 1.0, stream)
-    dw = stream.increments(1001)
+    traj = sample_trajectory(BlochState(0, 0, 1), PARAMS_15, 1e-3, 1.0, 3)
+    dw = wiener_increments(3, 1e-3, 1001)
     np.testing.assert_allclose(traj.readout, math.sqrt(100.0) * dw / 1e-3)
 
 
@@ -154,11 +145,7 @@ def test_trajectory_guards():
             DiffusiveParams(omega_s=0.5, alpha=1.0, tau=1.0),
             0.2,
             1.0,
-            WienerStream(seed=0, dt=0.2),
-        )
-    with pytest.raises(ValueError):
-        sample_trajectory(
-            BlochState(0, 0, 1), PARAMS_15, 1e-3, 1.0, WienerStream(seed=0, dt=2e-3)
+            0,
         )
     with pytest.warns(WeakCouplingWarning):
         sample_trajectory(
@@ -166,7 +153,7 @@ def test_trajectory_guards():
             DiffusiveParams(omega_s=0.5, alpha=1.0, tau=2.0),
             1e-3,
             3.0,
-            WienerStream(seed=0, dt=1e-3),
+            0,
         )
 
 
@@ -277,19 +264,19 @@ def test_mlp_fixed_point_consistency():
     cps = critical_points(PhaseParams(omega_s=0.5, lam=1.5))
     assert fp.y == pytest.approx(math.sin(cps.theta1), abs=1e-6)
     assert fp.z == pytest.approx(math.cos(cps.theta1), abs=1e-6)
-    assert fp.r == 0.0
+    assert readout_constraint(fp, PARAMS_15) == 0.0
     with pytest.raises(NoZenoRegime):
         mlp_fixed_point(DiffusiveParams.from_lambda(0.5, 0.5, 100.0))
 
 
-def test_ensemble_degenerates_to_single_trajectory():
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_ensemble_degenerates_to_single_trajectory(gaussian):
+    # t_end 2.0 spans four blocks of 512 steps
     stats = ensemble_stats(
-        BlochState(0, 0, 1), PARAMS_15, 1e-3, 2.0, n=1, base_seed=12
+        BlochState(0, 0, 1), PARAMS_15, 1e-3, 2.0, n=1, base_seed=12, gaussian=gaussian
     )
-    traj = sample_trajectory(
-        BlochState(0, 0, 1), PARAMS_15, 1e-3, 2.0, WienerStream(seed=12, dt=1e-3)
-    )
-    assert np.array_equal(stats.mean, traj.bloch)
+    traj = sample_trajectory(BlochState(0, 0, 1), PARAMS_15, 1e-3, 2.0, 12, gaussian)
+    assert stats.mean.tobytes() == traj.bloch.tobytes()
     assert np.max(stats.var) == 0.0
 
 
@@ -304,9 +291,7 @@ def test_ensemble_survival_weighted_by_hand():
     # n = 3 at lam = 1.5: each path weighs exp(-int alpha (1 - z)/2 dt) at each time
     dt, t_end = 1e-3, 5.0
     trajs = [
-        sample_trajectory(
-            BlochState(0, 0, 1), PARAMS_15, dt, t_end, WienerStream(seed=20 + k, dt=dt)
-        )
+        sample_trajectory(BlochState(0, 0, 1), PARAMS_15, dt, t_end, 20 + k)
         for k in range(3)
     ]
     x = np.array([tr.bloch for tr in trajs])
@@ -329,8 +314,7 @@ def _ensemble_reference(b0, params, dt, t_end, n, base_seed, gaussian):
     order: the per-trajectory form that the batched ensemble must reproduce."""
     mean = var = log_w = None
     for k in range(n):
-        stream = WienerStream(seed=base_seed + k, dt=dt, gaussian=gaussian)
-        bloch = sample_trajectory(b0, params, dt, t_end, stream).bloch
+        bloch = sample_trajectory(b0, params, dt, t_end, base_seed + k, gaussian).bloch
         lw = survival_log_weight(bloch[:, 2], params.alpha, dt)
         if mean is None:
             mean = np.zeros_like(bloch)
@@ -376,7 +360,7 @@ def test_batch_kernel_columns_equal_scalar_walk_byte_for_byte(lam, gaussian):
     x, y, z = (np.array(c) for c in zip(*starts))
     for dt in (1e-3, 1e-2):
         dw = np.array([
-            WienerStream(seed=60 + j, dt=dt, gaussian=gaussian).increments(n_steps)
+            wiener_increments(60 + j, dt, n_steps, gaussian)
             for j in range(len(starts))
         ]).T
         block = _kernels.diffusive_walk_batch(x, y, z, omega_s, alpha, dt, dw)
@@ -390,7 +374,7 @@ def test_batch_kernel_columns_equal_scalar_walk_byte_for_byte(lam, gaussian):
 def test_batch_kernel_of_one_state_and_at_most_one_step_equals_scalar_walk(n_steps):
     # n = 1 makes every buffer one element long; n_steps = 0 returns the start row alone
     omega_s, alpha, dt = 0.5, 3.0, 1e-2
-    dw = WienerStream(seed=7, dt=dt, gaussian=True).increments(1)[:n_steps]
+    dw = wiener_increments(7, dt, 1, True)[:n_steps]
     block = _kernels.diffusive_walk_batch(
         np.array([0.0]), np.array([0.6]), np.array([0.8]), omega_s, alpha, dt, dw[:, None]
     )
@@ -403,7 +387,7 @@ def test_batch_kernel_reads_its_inputs_and_returns_fresh_memory():
     # ensemble_stats passes each block's last row back in as x, y, z
     omega_s, alpha, dt, n_steps, n = 0.5, 3.0, 1e-3, 9, 4
     dw = np.array([
-        WienerStream(seed=80 + j, dt=dt, gaussian=False).increments(n_steps) for j in range(n)
+        wiener_increments(80 + j, dt, n_steps, False) for j in range(n)
     ]).T
     x, y, z = np.zeros(n), np.full(n, 0.6), np.full(n, 0.8)
     inputs = [x, y, z, dw]
@@ -420,11 +404,12 @@ def test_batch_kernel_reads_its_inputs_and_returns_fresh_memory():
 
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_wiener_chunks_concatenate_to_increments(gaussian):
-    stream = WienerStream(seed=11, dt=1e-3, gaussian=gaussian)
-    whole = stream.increments(2500)
+    # ensemble_stats draws each trajectory's increments a block at a time
+    whole = wiener_increments(11, 1e-3, 2500, gaussian)
     for size in (7, 333, 1000, 2500, 4096):
-        chunks = list(stream.chunks(2500, size))
-        assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
+        rng = np.random.default_rng(11)
+        chunks = [diffusive._draw(rng, 1e-3, min(size, 2500 - start), gaussian)
+                  for start in range(0, 2500, size)]
         assert np.array_equal(np.concatenate(chunks), whole)
 
 

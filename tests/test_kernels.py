@@ -23,10 +23,10 @@ from zenopath import (
     PhaseParams,
     PhasePoint,
     StalledAtFixedPoint,
-    WienerStream,
     integrate_mlp,
     integrate_phase_path,
     mlp_pieces,
+    wiener_increments,
 )
 from zenopath import _kernels
 from zenopath.phase import _phase_rhs, stable_angle
@@ -139,7 +139,7 @@ def test_mlp_kernel_equals_rk4_through_mlp_rhs_byte_for_byte(lam, s0):
 def test_diffusive_walk_equals_rk4_through_bloch_drift_byte_for_byte(lam, start, gaussian):
     omega_s, dt = 0.5, 1e-2
     alpha = 4.0 * omega_s * lam
-    dw = WienerStream(seed=5, dt=dt, gaussian=gaussian).increments(N_STEPS)
+    dw = wiener_increments(5, dt, N_STEPS, gaussian)
     angle = math.sqrt(alpha) * dw
     rows = [start]
     state = start
