@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (EpsilonTooLarge, IntegrandSingular, SingularEndpoint, UnsupportedLambda,
-                     nonnegative, positive, zeno_regime)
+                     finite, nonnegative, positive, zeno_regime)
 from .phase import critical_angles, nullcline_factor
 
 _QUAD_ABS_TOL = 1e-10
@@ -80,19 +80,29 @@ def _antiderivative(theta: float, lam: float) -> float:
             - math.log(abs(nullcline_factor(u, lam))))
 
 
-def _check_nullclines(theta_i: float, theta_f: float, lam: float, endpoint_error):
+def _check_endpoints(thetas, lam: float, endpoint_error):
     """For lam > 1, raise ``endpoint_error`` when an endpoint sits within 1e-9
-    of a critical angle, then IntegrandSingular when a nullcline of
-    1 + lam sin(theta) lies strictly inside the interval."""
+    of a critical angle."""
     if lam <= 1.0:
         return
     bases = critical_angles(lam)
-    for theta in (theta_i, theta_f):
+    for theta in thetas:
         for base in bases:
             if abs(math.remainder(theta - base, math.tau)) < _ENDPOINT_TOL:
                 raise endpoint_error(f"endpoint theta = {theta:.9f} is on a critical angle")
+
+
+def _check_nullclines(theta_i: float, theta_f: float, lam: float, endpoint_error):
+    """Apply the finite rule to both endpoints and :func:`_check_endpoints`;
+    then, for lam > 1, raise IntegrandSingular when a nullcline of
+    1 + lam sin(theta) lies strictly inside the interval."""
+    finite("theta_i", theta_i)
+    finite("theta_f", theta_f)
+    _check_endpoints((theta_i, theta_f), lam, endpoint_error)
+    if lam <= 1.0:
+        return
     lo, hi = (theta_i, theta_f) if theta_i <= theta_f else (theta_f, theta_i)
-    for base in bases:
+    for base in critical_angles(lam):
         if base + math.tau * math.ceil((lo - base) / math.tau) < hi:
             raise IntegrandSingular("a nullcline of 1 + lam*sin(theta) lies inside the interval")
 
@@ -102,6 +112,8 @@ def action_closed_form(theta_i: float, theta_f: float, lam: float) -> float:
 
     Raises
     ------
+    ValueError
+        For a NaN or infinite angle.
     UnsupportedLambda
         For lam = 1 exactly.
     SingularEndpoint
@@ -224,24 +236,23 @@ def final_state_density(lam: float, theta_i: float = 0.0, grid=None):
     not a density of z at one fixed time.  Weights are capped at exp(700)
     before normalizing (the trapezoid rule over the grid integrates to 1);
     the cap is a plotting regularization near the log-divergent peak, not
-    physics.  SingularEndpoint when theta_i is within 1e-9 of a critical angle.
+    physics.  SingularEndpoint when theta_i or a theta_f is within 1e-9 of a
+    critical angle.
     """
     _check_lambda(lam)
-    _check_nullclines(theta_i, theta_i, lam, SingularEndpoint)
+    finite("theta_i", theta_i)
     if grid is None:
         grid = np.linspace(-0.999, 0.999, 801)
     z = np.asarray(grid, dtype=float)
     if z.ndim != 1 or z.size < 2:
         raise ValueError("grid must be a 1-D sequence with at least 2 points")
-    if np.any(z <= -1.0) or np.any(z >= 1.0):
+    if not np.all(np.abs(z) < 1.0):  # NaN fails too
         raise ValueError("grid values must lie in the open interval (-1, 1)")
     if np.any(np.diff(z) <= 0.0):
         raise ValueError("grid must be strictly increasing")
-    f_i = _antiderivative(theta_i, lam)
-    log_w = np.empty_like(z)
-    for idx, zf in enumerate(z):
-        theta_f = -math.acos(zf)
-        log_w[idx] = f_i - _antiderivative(theta_f, lam)
+    theta_f = [-math.acos(zf) for zf in z.tolist()]
+    _check_endpoints((theta_i, *theta_f), lam, SingularEndpoint)
+    log_w = _antiderivative(theta_i, lam) - np.array([_antiderivative(t, lam) for t in theta_f])
     weights = np.exp(np.minimum(log_w, _EXP_CAP))
     total = np.sum(np.diff(z) * (weights[1:] + weights[:-1]) / 2.0)  # trapezoid rule
     return z, weights / total

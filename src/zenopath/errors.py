@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package, and the three
+"""Exception and warning types shared across the package, and the four
 parameter rules that raise them (notes/decisions.md, section 13).  Each rule
 is one chained compare that NaN fails too, so NaN and inf are rejected."""
 
@@ -55,6 +55,12 @@ class StalledAtFixedPoint(UserWarning):
 
 class WeakCouplingWarning(UserWarning):
     """Informational: tau >> t_end is violated, the detector is not weakly coupled."""
+
+
+def finite(name: str, value: float):
+    """ValueError unless -inf < value < inf: the angles and the curve energy e."""
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def positive(name: str, value: float):

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import (CurveSingularity, NonFiniteState, StalledAtFixedPoint, nonnegative,
-                     positive, zeno_regime)
+from .errors import (CurveSingularity, NonFiniteState, StalledAtFixedPoint, finite,
+                     nonnegative, positive, zeno_regime)
 
 _CRITICAL_DISTANCE = 1e-6
 
@@ -130,6 +130,8 @@ def hamilton_jacobian(p: PhasePoint, params: PhaseParams) -> np.ndarray:
 def p_theta_curve(theta: float, lam: float, e: float) -> float:
     """Momentum on the energy-E curve: (E - lam (1 - cos theta)) / (1 + lam sin theta)."""
     nonnegative("lam", lam)
+    finite("theta", theta)
+    finite("e", e)
     denom = nullcline_factor(theta, lam)
     if abs(denom) <= 1e-12:
         raise CurveSingularity(
@@ -208,6 +210,7 @@ def stable_angle(theta: float, lam: float) -> float:
     theta2 (theta1 = theta2 = -pi/2 at lam = 1).
     """
     zeno_regime(lam, "the stable critical angle requires", inclusive=True)
+    finite("theta", theta)
     return _stable_copy(theta, *critical_angles(lam))
 
 

@@ -337,16 +337,23 @@ def test_density_grid_validation():
         final_state_density(0.5, grid=np.array([0.2, 0.1]))
     with pytest.raises(ValueError):
         final_state_density(0.5, grid=np.array([-1.0, 0.0, 0.5]))
+    with pytest.raises(ValueError, match="open interval"):
+        final_state_density(0.5, grid=np.array([-0.5, np.nan, 0.5]))
     with pytest.raises(UnsupportedLambda):
         final_state_density(1.0)
 
 
 def test_density_starting_on_a_critical_angle_is_a_singular_endpoint():
+    # theta_i on a critical angle, or a grid point z_f whose theta_f = -acos(z_f) is
     for lam in (1.2, 1.5):
         for theta in _angles(lam):
             for theta_i in (theta, math.nextafter(theta, 0.0), theta - 5e-10):
                 with pytest.raises(SingularEndpoint):
                     final_state_density(lam, theta_i)
+            zf = math.cos(theta)
+            for grid in ([zf, 0.999], [-0.999, zf], [math.nextafter(zf, 0.0), 0.999]):
+                with pytest.raises(SingularEndpoint):
+                    final_state_density(lam, 0.0, grid)
 
 
 def test_density_rejects_a_two_dimensional_grid():

@@ -430,12 +430,20 @@ def test_zeno_frequencies_below_lambda_one_is_no_zeno_regime(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("theta_i", ["-0.7297276562269663", "-0.7297276562269662"])
-def test_density_from_a_critical_angle_is_a_singular_endpoint(tmp_path, capsys, theta_i):
+@pytest.mark.parametrize("flags", [
     # theta1 at lam 1.5 and one ulp above it: a math domain error and a
     # ZeroDivisionError before the start angle was checked
+    pytest.param(["--theta-i=-0.7297276562269663"], id="-0.7297276562269663"),
+    pytest.param(["--theta-i=-0.7297276562269662"], id="-0.7297276562269662"),
+    # a grid end at cos(theta1): the same two failures before each z_f was
+    # checked; at -cos(theta1) (theta2) a table with a capped weight
+    pytest.param(["--zf-grid", "0.7453559924999299", "0.9", "2"], id="zf=cos-theta1"),
+    pytest.param(["--zf-grid", "0.74535599249993", "0.9", "2"], id="zf=cos-theta1-ulp"),
+    pytest.param(["--zf-grid", "-0.9", "-0.7453559924999299", "2"], id="zf=cos-theta2"),
+])
+def test_density_from_a_critical_angle_is_a_singular_endpoint(tmp_path, capsys, flags):
     out = tmp_path / "d.csv"
-    assert main(["density", "--lambda", "1.5", f"--theta-i={theta_i}", "-o", str(out)]) == 3
+    assert main(["density", "--lambda", "1.5", *flags, "-o", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error[SingularEndpoint]")
     assert list(tmp_path.iterdir()) == []
 

@@ -1,6 +1,7 @@
 """Every public entry point that takes omega_s, lam, alpha, tau, dt or epsilon
-rejects NaN, inf and an out-of-range value with a named error, and each of
-those rules is written once, in ``zenopath.errors``."""
+rejects NaN, inf and an out-of-range value with a named error, every one that
+takes an angle or a curve energy rejects NaN and inf, and each of those rules
+is written once, in ``zenopath.errors``."""
 
 import math
 import re
@@ -84,25 +85,44 @@ _ENTRY_POINTS = [
      ValueError),
 ]
 
+#: (entry point, the angle or energy under test, a call with its value): any
+#: finite value is allowed, so NaN and inf are the bad ones
+_FINITE_ENTRY_POINTS = [
+    ("action_closed_form", "theta_i", lambda v: action_closed_form(v, 0.0, 0.5)),
+    ("action_closed_form", "theta_f", lambda v: action_closed_form(0.0, v, 0.5)),
+    ("action_quadrature", "theta_i", lambda v: action_quadrature(v, 0.0, 0.5)),
+    ("action_quadrature", "theta_f", lambda v: action_quadrature(0.0, v, 0.5)),
+    ("final_state_density", "theta_i", lambda v: final_state_density(1.5, v)),
+    ("stable_angle", "theta", lambda v: stable_angle(v, 1.5)),
+    ("p_theta_curve", "theta", lambda v: p_theta_curve(v, 0.5, 1.0)),
+    ("p_theta_curve", "e", lambda v: p_theta_curve(0.3, 0.5, v)),
+]
+
 #: The name a message gives a parameter that is checked through a derived one
 _NAMED = {"j_coupling": "alpha = j_coupling**2 * dt"}
 
+_RANGE_RULE = "(positive|nonnegative) and finite"
+
 _CASES = [
-    pytest.param(call, value, _NAMED.get(param, param), error, id=f"{entry}-{param}={value}")
+    pytest.param(call, value, _NAMED.get(param, param), _RANGE_RULE, error,
+                 id=f"{entry}-{param}={value}")
     for entry, param, call, bad, bad_error in _ENTRY_POINTS
     for value, error in ((math.nan, ValueError), (math.inf, ValueError),
                          *((v, bad_error) for v in bad))
+] + [
+    pytest.param(call, value, param, "finite", ValueError, id=f"{entry}-{param}={value}")
+    for entry, param, call in _FINITE_ENTRY_POINTS
+    for value in (math.nan, math.inf)
 ]
 
 
-@pytest.mark.parametrize("call, value, name, error", _CASES)
-def test_entry_point_rejects_a_bad_value(call, value, name, error):
+@pytest.mark.parametrize("call, value, name, rule, error", _CASES)
+def test_entry_point_rejects_a_bad_value(call, value, name, rule, error):
     if error is NoZenoRegime:
         with pytest.raises(NoZenoRegime, match=r"requires? lam >=? 1, got"):
             call(value)
     else:
-        with pytest.raises(ValueError,
-                           match=rf"^{re.escape(name)} must be (positive|nonnegative) and finite"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be {rule}"):
             call(value)
 
 
@@ -119,6 +139,7 @@ def test_each_parameter_rule_is_written_only_in_errors_py():
         if path.name == "errors.py":
             continue
         text = path.read_text()
-        for literal in ("must be positive", "must be nonnegative", "NoZenoRegime("):
+        for literal in ("must be positive", "must be nonnegative", "must be finite",
+                        "NoZenoRegime("):
             assert literal not in text, (
                 f"{path.name} writes {literal!r} itself; call the rule in zenopath.errors")
