@@ -83,6 +83,7 @@ class ExtendedState:
 def wiener_increments(seed: int, dt: float, n: int, gaussian: bool = False) -> np.ndarray:
     """n Wiener increments drawn from ``seed``: binary +-sqrt(dt) steps, or
     N(0, dt) ones if ``gaussian``.  Equal arguments give bit-identical arrays."""
+    positive("dt", dt)
     return _draw(np.random.default_rng(seed), dt, n, gaussian)
 
 

@@ -27,6 +27,7 @@ from zenopath import (
     stability_exponents,
     stable_angle,
     transition_time_sub_zeno,
+    wiener_increments,
     zeno_frequencies,
 )
 
@@ -51,6 +52,7 @@ _ENTRY_POINTS = [
     ("MeasurementParams", "omega_s", lambda v: MeasurementParams(v, 10.0, 1e-3), (0.0,),
      ValueError),
     ("MeasurementParams", "dt", lambda v: MeasurementParams(0.5, 10.0, v), (-1e-3,), ValueError),
+    ("wiener_increments", "dt", lambda v: wiener_increments(0, v, 3), (0.0, -1e-3), ValueError),
     # NaN, inf and a j_coupling whose square overflows reach the derived alpha
     ("MeasurementParams", "j_coupling", lambda v: MeasurementParams(0.5, v, 1e-3), (1e200,),
      ValueError),
