@@ -64,7 +64,6 @@ from .diffusive import (
     sample_trajectory,
     sme_rhs,
     stochastic_hamiltonian,
-    survival_log_weight,
     wiener_increments,
 )
 

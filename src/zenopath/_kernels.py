@@ -5,24 +5,22 @@ Every loop runs on builtin floats: arithmetic on numpy scalars costs several
 times as much per operation and gives the same IEEE results
 (notes/decisions.md, section 5).  The one exception is
 :func:`diffusive_walk_batch`, which steps a whole ensemble as one stacked
-(3, n) numpy array, each step through buffers made once per call so that it
-allocates nothing (section 6).  ``perfbench/`` times each scalar kernel.
+(4, n) numpy array, each step through buffers made once per call (section 6).
+``perfbench/`` times each scalar kernel.
 
-The two scalar RK4 loops, :func:`mlp_rk4` and :func:`diffusive_walk`, step
-one closure of :func:`mlp_rhs` or :func:`bloch_drift` with the constant
-products hoisted and the operation order kept, so their paths are
-bit-identical to stepping the pointwise formulas, which stay the definitions
-every other caller uses (``tests/test_kernels.py``).  The batch writes the
-same hoisted drift out as in-place numpy calls and is pinned column by column
-to :func:`diffusive_walk` (``tests/test_diffusive.py``).  All three scalar
-loops store each row through a flat ``memoryview`` of the output array, which
+:func:`mlp_rk4` steps one closure of :func:`mlp_rhs` with the constant
+products hoisted and the operation order kept, so its path is bit-identical
+to stepping the pointwise formula (``tests/test_kernels.py``).  The diffusive
+walks step no drift: they apply the exact linear map of the state vector
+(:func:`null_step_map`, section 19), and the batch is pinned column by column
+to :func:`diffusive_walk` (``tests/test_diffusive.py``).  The scalar loops
+store each row through a flat ``memoryview`` of the output array, which
 costs about half as much as numpy's element writes.  The phase path has no
-loop: ``phase.integrate_phase_path`` evaluates it in closed form, and its
-formulas live in ``phase``.
+loop: ``phase.integrate_phase_path`` evaluates it in closed form.
 """
 
 import warnings
-from math import cos, isfinite, sin, sqrt
+from math import cos, exp, expm1, isfinite, sin, sqrt
 
 import numpy as np
 
@@ -120,8 +118,9 @@ def bloch_drift(x, y, z, omega_s, alpha, w=None):
     The one definition of the drift, for scalars and arrays alike.  w is
     r sqrt(alpha/tau) for a readout r and alpha (y p_x - x p_y) on the
     most-likely path; the post-selected drift has no rotation and passes
-    none.  The two diffusive walks step it without w, written out with its
-    constant products hoisted.
+    none.  The diffusive walks do not step it: they step the linear flow of
+    psi whose normalized image it is (:func:`null_step_map`), which
+    ``tests/test_kernels.py`` checks against RK4 through this drift.
     """
     dx = -0.5 * alpha * x * z
     dy = -0.5 * alpha * y * z
@@ -132,137 +131,135 @@ def bloch_drift(x, y, z, omega_s, alpha, w=None):
     return dx, dy, dz
 
 
+def null_step_map(omega_s, alpha, dt):
+    """(e00, e01, e10, e11) of E = exp(K dt), K = [[0, omega_s], [-omega_s, -alpha/2]]
+    the no-click generator on psi = (u, i v) (notes/decisions.md, section 19):
+    E = exp(-a dt) (C I + S (K + a I)), a = alpha/4, where C, S are cos(w dt),
+    sin(w dt)/w below a = omega_s, 1, dt at it, and cosh(k dt), sinh(k dt)/k
+    above it, those two formed from exp((k - a) dt) and expm1(-2 k dt)."""
+    a = 0.25 * alpha
+    if a < omega_s:
+        w = sqrt((omega_s - a) * (omega_s + a))
+        decay = exp(-a * dt)
+        c, s = decay * cos(w * dt), decay * sin(w * dt) / w
+    elif a > omega_s:
+        k = sqrt((a - omega_s) * (a + omega_s))
+        slow = exp(-omega_s * omega_s * dt / (a + k))  # a - k = omega_s^2 / (a + k)
+        fast = expm1(-2.0 * k * dt)
+        c, s = slow * (1.0 + 0.5 * fast), -slow * fast / (2.0 * k)
+    else:
+        c = exp(-a * dt)
+        s = c * dt
+    return c + a * s, omega_s * s, -omega_s * s, c - a * s
+
+
+def psi_from_bloch(x, y, z):
+    """(re u, im u, re v, im v) of the unit psi = (u, i v) along (x, y, z), the
+    larger of |u| and |v| taken real; :func:`bloch_rows` is its inverse."""
+    r = sqrt(x * x + y * y + z * z)
+    x, y, z = x / r, y / r, z / r  # a start within BlochState's tolerance of the sphere
+    if z >= 0.0:
+        u = sqrt(0.5 * (1.0 + z))
+        return u, 0.0, 0.5 * y / u, -0.5 * x / u
+    v = sqrt(0.5 * (1.0 - z))
+    return 0.5 * y / v, 0.5 * x / v, v, 0.0
+
+
+def bloch_rows(psi):
+    """Bloch rows (x, y, z) of unit psi rows (re u, im u, re v, im v) on axis 1:
+    (rows, 3) of the scalar walk's (rows, 4), (rows, 3, n) of the batch's (rows, 4, n)."""
+    ur, ui, vr, vi = (psi[:, j] for j in range(4))
+    return np.stack((2.0 * (ui * vr - ur * vi), 2.0 * (ur * vr + ui * vi),
+                     (ur * ur + ui * ui) - (vr * vr + vi * vi)), axis=1)
+
+
 def diffusive_walk(x, y, z, omega_s, alpha, dt, dw):
-    """Conditioned Bloch-vector sampling: RK4 drift, then the readout's rotation.
+    """Conditioned Bloch-vector sampling as the linear step of psi = (u, i v).
 
-    The readout's back-action rotates the state about the z-axis by the angle
-    sqrt(alpha)*dW; the rotation is applied exactly (cosine and sine of every
-    angle are taken before the loop), so it moves neither z nor the norm.
-    Renormalization removes the RK4 drift's O(dt^5) residue.
+    A step applies :func:`null_step_map` to the real and the imaginary parts
+    of (u, v), the readout's phase v <- exp(-i sqrt(alpha) dW) v (a rotation
+    about z by sqrt(alpha) dW) and one renormalization.  Returns the Bloch
+    rows (n_steps + 1, 3), row 0 being (x, y, z) as given, and each row's
+    survival log-weight, the sum of the log |psi|^2 renormalized away (section 19).
     """
-    n_steps = dw.shape[0]
-    out = np.empty((n_steps + 1, 3))
-    out[0] = x, y, z
-    buf = memoryview(out).cast("B").cast("d")
-    i = 3
+    e00, e01, e10, e11 = null_step_map(omega_s, alpha, dt)
+    psi = np.empty((dw.shape[0] + 1, 4))
+    log_weight = np.empty(dw.shape[0] + 1)
+    ur, ui, vr, vi = psi[0] = psi_from_bloch(x, y, z)
+    buf = memoryview(psi).cast("B").cast("d")
+    norms = memoryview(log_weight).cast("B").cast("d")
+    i = 4
     angle = sqrt(alpha) * dw
-    cos_a = np.cos(angle).tolist()
-    sin_a = np.sin(angle).tolist()
-    h = 0.5 * dt
-    nha = -0.5 * alpha
-    ha = 0.5 * alpha
-    tw = 2.0 * omega_s
-
-    def drift(x, y, z):
-        # bloch_drift without w, its constant products hoisted, bit for bit
-        return nha * x * z, nha * y * z - tw * z, ha * (1.0 - z * z) + tw * y
-
-    for ca, sa in zip(cos_a, sin_a):
-        k1x, k1y, k1z = drift(x, y, z)
-        k2x, k2y, k2z = drift(x + h * k1x, y + h * k1y, z + h * k1z)
-        k3x, k3y, k3z = drift(x + h * k2x, y + h * k2y, z + h * k2z)
-        k4x, k4y, k4z = drift(x + dt * k3x, y + dt * k3y, z + dt * k3z)
-        xn = x + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
-        yn = y + dt * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
-        zn = z + dt * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
-        xr = ca * xn + sa * yn
-        yr = ca * yn - sa * xn
-        norm = sqrt(xr * xr + yr * yr + zn * zn)
-        x = xr / norm
-        y = yr / norm
-        z = zn / norm
-        buf[i] = x
-        buf[i + 1] = y
-        buf[i + 2] = z
-        i += 3
-    return out
+    for k, c, s in zip(range(1, len(log_weight)), np.cos(angle).tolist(), np.sin(angle).tolist()):
+        pr = e00 * ur + e01 * vr
+        qr = e10 * ur + e11 * vr
+        pi = e00 * ui + e01 * vi
+        qi = e10 * ui + e11 * vi
+        vr = c * qr + s * qi
+        vi = c * qi - s * qr
+        n2 = (pr * pr + vr * vr) + (pi * pi + vi * vi)
+        norm = sqrt(n2)
+        buf[i] = ur = pr / norm
+        buf[i + 1] = ui = pi / norm
+        buf[i + 2] = vr = vr / norm
+        buf[i + 3] = vi = vi / norm
+        norms[k] = n2
+        i += 4
+    out = bloch_rows(psi)
+    out[0] = x, y, z
+    return out, _log_weight_rows(log_weight, 0.0)
 
 
-def diffusive_walk_batch(x, y, z, omega_s, alpha, dt, dw):
-    """:func:`diffusive_walk` for n states at once, stacked as one (3, n) array.
+def _log_weight_rows(rows, start):
+    """|psi|^2 rows 1.. -> running log-weight from ``start``, in place (contiguous rows: equal bytes)."""
+    np.log(rows[1:], rows[1:])
+    rows[0] = start
+    return np.cumsum(rows, axis=0, out=rows)
 
-    x, y, z have shape (n,) and dw shape (n_steps, n), column j driving state
-    j.  Each element sees the operations of :func:`diffusive_walk` in the same
-    order, so every state's path is bit-identical to its scalar walk.  Returns
-    the paths as (n_steps + 1, 3, n): row k holds the n states (x, y, z) at
-    step k, row 0 being the start.  The inputs are only read: the result
-    shares no memory with them.
 
-    At short n the cost is the number of numpy calls, not of elements
-    (notes/decisions.md, section 6), so a step allocates nothing: the drift
-    is written out as in :func:`diffusive_walk`'s closure, every call writes
-    into a buffer made once per call and passed positionally, and every
-    constant is a 0-d array.
+def diffusive_walk_batch(psi, log_weight, omega_s, alpha, dt, dw):
+    """:func:`diffusive_walk` for n states at once, carried as psi.
+
+    psi (4, n) holds rows (re u, im u, re v, im v), log_weight is (n,) and dw
+    (n_steps, n), column j driving state j.  Returns the psi rows (n_steps + 1,
+    4, n) and log-weight rows (n_steps + 1, n), row 0 being the inputs, which
+    are only read.  Each element sees the operations of :func:`diffusive_walk`
+    in its order, so every column is bit-identical to its scalar walk.  A step
+    makes 17 numpy calls, each into a buffer made once per call, with 0-d constants.
     """
     n_steps, n = dw.shape
-    out = np.empty((n_steps + 1, 3, n))
-    out[0] = x, y, z
+    out = np.empty((n_steps + 1, 4, n))
+    out[0] = psi
+    lw = np.empty((n_steps + 1, n))
     angle = sqrt(alpha) * dw
-    cos_a = np.cos(angle)
-    sin_a = np.sin(angle)
-    h, step, nha, ha, tw, one, two, six = (
-        np.array(c)
-        for c in (0.5 * dt, dt, -0.5 * alpha, 0.5 * alpha, 2.0 * omega_s, 1.0, 2.0, 6.0)
-    )
-    k = np.empty((4, 3, n))  # the stages k1 .. k4, rows x, y, z
-    q = np.empty((3, n))  # a stage's input s + h k, then the rotation's products
-    tw_yz = np.empty((2, n))  # tw y and tw z
-    acc = np.empty((3, n))  # the RK4 sum, then the new state before renormalizing
-    sq = np.empty((3, n))
+    e00, e01, e10, e11 = (np.array(e) for e in null_step_map(omega_s, alpha, dt))
+    w, sq = np.empty((2, 4, n))  # w = (pr, pi, vr, vi): the step before renormalizing
+    q, t = np.empty((2, 2, n))  # q = (qr, qi): v before the readout's phase
     norm = np.empty(n)
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-    k1, k2, k3, k4 = k
-    k_rows = [(kj[:2], kj[0], kj[1], kj[2]) for kj in k]
-    q_rows = q[:2], q[2], q[1:]
-    stages = ((k1, h, k_rows[1]), (k2, h, k_rows[2]), (k3, step, k_rows[3]))
-    tw_y, tw_z = tw_yz
-    acc_x, acc_y, _ = acc
-    sn_y, sn_x, _ = q
-    k23 = k[1:3]
-    sq_x, sq_y, sq_z = sq
-
-    def drift(s_rows, kj_rows):
-        # nha x z, nha y z - tw z and ha (1 - z z) + tw y, in the scalar order
-        xy, z, yz = s_rows
-        kxy, kx, ky, kz = kj_rows
-        mul(nha, xy, kxy)
-        mul(kx, z, kx)
-        mul(ky, z, ky)
-        mul(tw, yz, tw_yz)
-        sub(ky, tw_z, ky)
-        mul(z, z, kz)
-        sub(one, kz, kz)
-        mul(ha, kz, kz)
-        add(kz, tw_y, kz)
-
-    for c, sn, s, nxt in zip(cos_a, sin_a, out, out[1:]):
-        drift((s[:2], s[2], s[1:]), k_rows[0])
-        for k_prev, hk, k_next in stages:
-            mul(hk, k_prev, q)
-            add(s, q, q)
-            drift(q_rows, k_next)
-        # s + dt (k1 + 2 k2 + 2 k3 + k4) / 6; k2 and k3 are doubled in place
-        mul(two, k23, k23)
-        add(k1, k2, acc)
-        add(acc, k3, acc)
-        add(acc, k4, acc)
-        mul(step, acc, acc)
-        div(acc, six, acc)
-        add(s, acc, acc)
-        # the readout's rotation: x <- c x + sn y, y <- c y - sn x
-        mul(sn, acc_y, sn_y)
-        mul(sn, acc_x, sn_x)
-        mul(c, acc_x, acc_x)
-        add(acc_x, sn_y, acc_x)
-        mul(c, acc_y, acc_y)
-        sub(acc_y, sn_x, acc_y)
-        # divide by sqrt((x x + y y) + z z)
-        mul(acc, acc, sq)
-        add(sq_x, sq_y, norm)
-        add(norm, sq_z, norm)
-        np.sqrt(norm, norm)
-        div(acc, norm, nxt)
-    return out
+    (p, vr, vi), (qr, qi), (t0, t1), sq_lo, sq_hi = (w[:2], w[2], w[3]), q, t, sq[:2], sq[2:]
+    for c, sn, u, v, n2, nxt in zip(np.cos(angle), np.sin(angle), out[:, :2], out[:, 2:],
+                                    lw[1:], out[1:]):
+        mul(e00, u, p)
+        mul(e01, v, t)
+        add(p, t, p)
+        mul(e10, u, q)
+        mul(e11, v, t)
+        add(q, t, q)
+        # vr <- c qr + sn qi, vi <- c qi - sn qr
+        mul(sn, qi, t0)
+        mul(sn, qr, t1)
+        mul(c, qr, vr)
+        add(vr, t0, vr)
+        mul(c, qi, vi)
+        sub(vi, t1, vi)
+        # |psi|^2 = (pr pr + vr vr) + (pi pi + vi vi)
+        mul(w, w, sq)
+        add(sq_lo, sq_hi, t)
+        add(t0, t1, n2)
+        np.sqrt(n2, norm)
+        div(w, norm, nxt)
+    return out, _log_weight_rows(lw, log_weight)
 
 
 def mlp_rhs(x, y, z, px, py, pz, omega_s, alpha):

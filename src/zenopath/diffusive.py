@@ -12,10 +12,11 @@ null-record (no-click) equations of the excited state probed at rate alpha,
 whose readout also kicks the phase of |1>: the r terms rotate the state about
 the z-axis by the angle sqrt(alpha) dW.  Trajectory sampling draws dW as
 symmetric +-sqrt(dt) steps by default (a Gaussian option is provided; both
-converge to the same diffusion), applies the drift with an RK4 substep and
-then that rotation exactly, and renormalizes the state to keep it pure.  A
-trajectory's record has no click with probability
-exp(-int alpha (1 - z)/2 dt); ensembles weight their paths by it.
+converge to the same diffusion).  The drift is the normalized image of a
+linear flow of psi = (u, i v), so a step applies its exact real 2x2 map, the
+readout's phase of v and a renormalization (notes/decisions.md, section 19).
+A record has no click with probability exp(-int alpha (1 - z)/2 dt), the
+product of the norms removed; ensembles weight their paths by it.
 
 Extremizing the stochastic action instead gives a deterministic 6-dimensional
 flow in (x, y, z, p_x, p_y, p_z) with the readout pinned by the constraint
@@ -32,8 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import StepTooLarge, WeakCouplingWarning, nonnegative, positive, zeno_regime
-from .measurement import BlochState
+from .errors import InvalidState, StepTooLarge, WeakCouplingWarning, nonnegative, positive
+from .errors import zeno_regime
+from .measurement import _BLOCH_NORM_TOL, BlochState
 
 #: Time steps per block of the batched ensemble; a block of n trajectories
 #: holds about 100 n _BLOCK_STEPS bytes (notes/decisions.md, section 6).
@@ -114,13 +116,21 @@ def sme_rhs(b: BlochState, r: float, params: DiffusiveParams):
 
 @dataclass(frozen=True)
 class DiffusiveTrajectory:
-    """Sampled conditioned trajectory: times, Bloch rows (x, y, z) and, row for
-    row, the readout r_k = sqrt(tau) dW_k / dt of the step that starts at t_k.
-    The last row's readout is the seeded stream's next step, not walked."""
+    """Sampled conditioned trajectory: times, Bloch rows (x, y, z), the readout
+    r_k = sqrt(tau) dW_k / dt of the step from t_k (the last is not walked)
+    and the log-probability that the record held no click up to t_k."""
 
     t: np.ndarray
     bloch: np.ndarray
     readout: np.ndarray
+    log_weight: np.ndarray
+
+
+def _pure_start(b0: BlochState):
+    """psi of b0; InvalidState inside the Bloch ball (notes/decisions.md, section 19)."""
+    if not b0.norm() >= 1.0 - _BLOCH_NORM_TOL:
+        raise InvalidState(f"Bloch vector norm {b0.norm():.12g} is below 1: no pure state")
+    return _kernels.psi_from_bloch(b0.x, b0.y, b0.z)
 
 
 def _sampling_steps(params: DiffusiveParams, dt: float, t_end: float):
@@ -153,16 +163,18 @@ def sample_trajectory(
     """Sample one conditioned trajectory from b0 up to t_end, driven by
     :func:`wiener_increments` of (seed, dt, gaussian).
 
-    Raises StepTooLarge when dt > tau/10; warns when t_end exceeds tau (the
-    weak-coupling window).  Deterministic given (seed, dt, gaussian).
+    Raises InvalidState when b0 lies inside the Bloch ball and StepTooLarge
+    when dt > tau/10; warns when t_end exceeds tau (the weak-coupling
+    window).  Deterministic given (seed, dt, gaussian).
     """
     n_steps, t = _sampling_steps(params, dt, t_end)
+    _pure_start(b0)
     dw = wiener_increments(seed, dt, n_steps + 1, gaussian)  # one readout per row of the path
-    path = _kernels.diffusive_walk(
+    path, log_weight = _kernels.diffusive_walk(
         b0.x, b0.y, b0.z, params.omega_s, params.alpha, dt, dw[:-1]
     )
     readout = math.sqrt(params.tau) * dw / dt
-    return DiffusiveTrajectory(t=t, bloch=path, readout=readout)
+    return DiffusiveTrajectory(t=t, bloch=path, readout=readout, log_weight=log_weight)
 
 
 def mlp_rhs(s: ExtendedState, params: DiffusiveParams):
@@ -294,17 +306,6 @@ class EnsembleStats:
     n_eff: np.ndarray
 
 
-def survival_log_weight(z: np.ndarray, alpha: float, dt: float, decay=0.0) -> np.ndarray:
-    """log P(no click up to each sample) = -int alpha (1 - z)/2 dt, trapezoid
-    rule over the samples z along the last axis, starting from -decay (0 for
-    a whole trajectory; a later block carries on from the one before)."""
-    z = np.asarray(z)
-    cum = np.empty(z.shape)
-    cum[..., 0] = decay
-    cum[..., 1:] = (0.25 * alpha * dt) * ((1.0 - z[..., 1:]) + (1.0 - z[..., :-1]))
-    return -np.cumsum(cum, axis=-1)
-
-
 def ensemble_stats(
     b0: BlochState,
     params: DiffusiveParams,
@@ -318,17 +319,17 @@ def ensemble_stats(
 
     This is the null-record subensemble: at every time each trajectory is
     weighted by the probability that its record has held no click so far,
-    exp(-int alpha (1 - z)/2 dt) (:func:`survival_log_weight`).  Its mean
+    exp(-int alpha (1 - z)/2 dt) (:attr:`DiffusiveTrajectory.log_weight`).  Its mean
     relaxes to the stationary state of the record-averaged null-outcome
-    equation (notes/decisions.md); at alpha = 0 all weights are 1.
+    equation (notes/decisions.md); at alpha = 0 all weights are equal.
 
     Trajectory k uses seed ``base_seed + k`` and enters the weighted Welford
     update in that order, so n = 1 reproduces :func:`sample_trajectory` with
     (``base_seed``, ``gaussian``) exactly.  All n trajectories are stepped
     together, in blocks of ``_BLOCK_STEPS`` time steps, with the arithmetic of
     the single sampler and one generator per trajectory (notes/decisions.md,
-    section 6): only one block of paths is held at once.
-    Same checks and warning as :func:`sample_trajectory`.
+    section 6): only one block is held at once, and it hands psi and the
+    log-weights to the next.  Same checks and warning as :func:`sample_trajectory`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -338,18 +339,19 @@ def ensemble_stats(
     var = np.zeros((n_steps + 1, 3))
     log_w = np.full(n_steps + 1, -np.inf)
     n_eff = np.empty(n_steps + 1)
-    x = np.full(n, b0.x, dtype=float)
-    y = np.full(n, b0.y, dtype=float)
-    z = np.full(n, b0.z, dtype=float)
-    decay = np.zeros(n)  # each trajectory's -log weight at the block's first row
+    # each trajectory's psi and log-weight at the block's first row
+    psi, lw0 = np.array(_pure_start(b0))[:, None].repeat(n, axis=1), np.zeros(n)
     for start in range(0, n_steps, _BLOCK_STEPS):
         size = min(_BLOCK_STEPS, n_steps - start)
-        dw = np.array([_draw(rng, dt, size, gaussian) for rng in rngs]).T
-        block = _kernels.diffusive_walk_batch(x, y, z, params.omega_s, params.alpha, dt, dw)
-        x, y, z = block[-1]
-        paths = block.transpose(2, 0, 1)  # (n, steps + 1, 3), a view
-        lw = survival_log_weight(paths[:, :, 2], params.alpha, dt, decay)
-        decay = -lw[:, -1]
+        psi_rows, lw = _kernels.diffusive_walk_batch(
+            psi, lw0, params.omega_s, params.alpha, dt,
+            np.array([_draw(rng, dt, size, gaussian) for rng in rngs]).T,
+        )
+        psi, lw0 = psi_rows[-1].copy(), lw[-1].copy()
+        paths = _kernels.bloch_rows(psi_rows).transpose(2, 0, 1)  # (n, steps + 1, 3), a view
+        if start == 0:
+            paths[:, 0] = b0.as_array()  # the start exactly as given
+        lw = lw.T  # (n, steps + 1), a view
         # the first row of a later block is the last row of the one before
         first = 0 if start == 0 else 1
         rows = slice(start + first, start + size + 1)
@@ -368,4 +370,5 @@ def ensemble_stats(
             delta = bloch - mean[rows]
             mean[rows] += share * delta
             var[rows] = (1.0 - share) * var[rows] + share * delta * (bloch - mean[rows])
+        del psi_rows, paths, lw, rel, bloch, lwk  # hold one block at a time, views included
     return EnsembleStats(t=t, mean=mean, var=var, n_eff=n_eff)

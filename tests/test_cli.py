@@ -340,7 +340,7 @@ def test_trajectory_json_is_strict_with_one_readout_per_row(tmp_path):
     rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
     n, dt = 1000, 1e-3
     params = DiffusiveParams.from_lambda(0.5, 1.5, tau=100.0)
-    bloch = _kernels.diffusive_walk(
+    bloch, _ = _kernels.diffusive_walk(
         0.0, 0.0, 1.0, params.omega_s, params.alpha, dt, wiener_increments(5, dt, n)
     )
     readout = math.sqrt(100.0) * wiener_increments(5, dt, n + 1) / dt

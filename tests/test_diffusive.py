@@ -11,6 +11,7 @@ from zenopath import (
     BlochState,
     DiffusiveParams,
     ExtendedState,
+    InvalidState,
     NoZenoRegime,
     StalledAtFixedPoint,
     StepTooLarge,
@@ -24,14 +25,16 @@ from zenopath import (
     mlp_rhs,
     NonFiniteState,
     PhaseParams,
+    PhasePoint,
+    integrate_phase_path,
     readout_constraint,
     sample_trajectory,
     sme_rhs,
     stochastic_hamiltonian,
-    survival_log_weight,
     wiener_increments,
 )
 from zenopath import _kernels, diffusive
+from zenopath.phase import phase_hamiltonian
 
 P1 = np.diag([0.0, 1.0]).astype(complex)
 
@@ -288,16 +291,14 @@ def test_ensemble_rabi_mean_and_zero_variance():
 
 
 def test_ensemble_survival_weighted_by_hand():
-    # n = 3 at lam = 1.5: each path weighs exp(-int alpha (1 - z)/2 dt) at each time
+    # n = 3 at lam = 1.5: each path weighs its no-click probability at each time
     dt, t_end = 1e-3, 5.0
     trajs = [
         sample_trajectory(BlochState(0, 0, 1), PARAMS_15, dt, t_end, 20 + k)
         for k in range(3)
     ]
     x = np.array([tr.bloch for tr in trajs])
-    w = np.exp(
-        -0.5 * PARAMS_15.alpha * cumulative_trapezoid(1.0 - x[:, :, 2], dx=dt, initial=0.0)
-    )
+    w = np.exp([tr.log_weight for tr in trajs])
     total = w.sum(axis=0)
     mean = (w[:, :, None] * x).sum(axis=0) / total[:, None]
     var = (w[:, :, None] * (x - mean) ** 2).sum(axis=0) / total[:, None]
@@ -314,8 +315,8 @@ def _ensemble_reference(b0, params, dt, t_end, n, base_seed, gaussian):
     order: the per-trajectory form that the batched ensemble must reproduce."""
     mean = var = log_w = None
     for k in range(n):
-        bloch = sample_trajectory(b0, params, dt, t_end, base_seed + k, gaussian).bloch
-        lw = survival_log_weight(bloch[:, 2], params.alpha, dt)
+        traj = sample_trajectory(b0, params, dt, t_end, base_seed + k, gaussian)
+        bloch, lw = traj.bloch, traj.log_weight
         if mean is None:
             mean = np.zeros_like(bloch)
             var = np.zeros_like(bloch)
@@ -349,25 +350,38 @@ def test_ensemble_batch_equals_per_seed_reference(monkeypatch, params, gaussian,
     assert np.min(stats.var) >= 0.0
 
 
+def _batch_walk(starts, omega_s, alpha, dt, dw, log_weight=None):
+    """The batch kernel from Bloch starts, as the scalar walk returns them:
+    Bloch rows (steps + 1, 3, n), row 0 the starts as given, and log-weights."""
+    psi = np.array([_kernels.psi_from_bloch(*start) for start in starts]).T
+    if log_weight is None:
+        log_weight = np.zeros(len(starts))
+    psi_rows, lw = _kernels.diffusive_walk_batch(psi, log_weight, omega_s, alpha, dt, dw)
+    bloch = _kernels.bloch_rows(psi_rows)
+    bloch[0] = np.array(starts).T
+    return bloch, lw
+
+
 @pytest.mark.parametrize("gaussian", [False, True], ids=["binary", "gaussian"])
 @pytest.mark.parametrize("lam", [0.0, 1.5])
 def test_batch_kernel_columns_equal_scalar_walk_byte_for_byte(lam, gaussian):
     # signed zeros included: the starts put -0.0 in x or y, at both poles.
-    # At dt 1e-3 a one-ulp change in a stage mostly rounds away; dt 1e-2 shows it.
+    # At dt 1e-3 a one-ulp change in a step mostly rounds away; dt 1e-2 shows it.
     starts = [(0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, -1.0)]
     omega_s, n_steps = 0.5, 700
     alpha = 4.0 * omega_s * lam
-    x, y, z = (np.array(c) for c in zip(*starts))
     for dt in (1e-3, 1e-2):
         dw = np.array([
             wiener_increments(60 + j, dt, n_steps, gaussian)
             for j in range(len(starts))
         ]).T
-        block = _kernels.diffusive_walk_batch(x, y, z, omega_s, alpha, dt, dw)
+        block, lw = _batch_walk(starts, omega_s, alpha, dt, dw)
         assert block.shape == (n_steps + 1, 3, len(starts))
+        assert lw.shape == (n_steps + 1, len(starts))
         for j, start in enumerate(starts):
-            walk = _kernels.diffusive_walk(*start, omega_s, alpha, dt, dw[:, j])
+            walk, walk_lw = _kernels.diffusive_walk(*start, omega_s, alpha, dt, dw[:, j])
             assert block[:, :, j].tobytes() == walk.tobytes()
+            assert lw[:, j].tobytes() == walk_lw.tobytes()
 
 
 @pytest.mark.parametrize("n_steps", [0, 1])
@@ -375,31 +389,52 @@ def test_batch_kernel_of_one_state_and_at_most_one_step_equals_scalar_walk(n_ste
     # n = 1 makes every buffer one element long; n_steps = 0 returns the start row alone
     omega_s, alpha, dt = 0.5, 3.0, 1e-2
     dw = wiener_increments(7, dt, 1, True)[:n_steps]
-    block = _kernels.diffusive_walk_batch(
-        np.array([0.0]), np.array([0.6]), np.array([0.8]), omega_s, alpha, dt, dw[:, None]
-    )
-    walk = _kernels.diffusive_walk(0.0, 0.6, 0.8, omega_s, alpha, dt, dw)
+    block, lw = _batch_walk([(0.0, 0.6, 0.8)], omega_s, alpha, dt, dw[:, None])
+    walk, walk_lw = _kernels.diffusive_walk(0.0, 0.6, 0.8, omega_s, alpha, dt, dw)
     assert block.shape == (n_steps + 1, 3, 1)
     assert block[:, :, 0].tobytes() == walk.tobytes()
+    assert lw[:, 0].tobytes() == walk_lw.tobytes()
 
 
 def test_batch_kernel_reads_its_inputs_and_returns_fresh_memory():
-    # ensemble_stats passes each block's last row back in as x, y, z
+    # ensemble_stats passes each block's last psi and log-weight row back in
     omega_s, alpha, dt, n_steps, n = 0.5, 3.0, 1e-3, 9, 4
     dw = np.array([
         wiener_increments(80 + j, dt, n_steps, False) for j in range(n)
     ]).T
-    x, y, z = np.zeros(n), np.full(n, 0.6), np.full(n, 0.8)
-    inputs = [x, y, z, dw]
+    psi = np.array([_kernels.psi_from_bloch(0.0, 0.6, 0.8)] * n).T
+    lw = np.zeros(n)
+    inputs = [psi, lw, dw]
     before = [a.copy() for a in inputs]
-    first = _kernels.diffusive_walk_batch(x, y, z, omega_s, alpha, dt, dw)
-    second = _kernels.diffusive_walk_batch(*first[-1], omega_s, alpha, dt, dw)
+    first = _kernels.diffusive_walk_batch(psi, lw, omega_s, alpha, dt, dw)
+    second = _kernels.diffusive_walk_batch(first[0][-1], first[1][-1], omega_s, alpha, dt, dw)
     for a, b in zip(inputs, before):
         assert a.tobytes() == b.tobytes()
-    assert first[-1].tobytes() == second[0].tobytes()
-    assert not np.shares_memory(first, second)
-    for result in (first, second):
+    for rows, next_rows in zip(first, second):
+        assert rows[-1].tobytes() == next_rows[0].tobytes()
+        assert not np.shares_memory(rows, next_rows)
+    for result in (*first, *second):
         assert not any(np.shares_memory(result, a) for a in inputs)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.5])
+def test_batch_kernel_carried_across_blocks_equals_one_call(lam):
+    # blocks of 8 steps share their edge row, as in ensemble_stats; the
+    # log-weight's running sum goes on from the carried row
+    omega_s, dt, n_steps, n = 0.5, 1e-2, 23, 3
+    alpha = 4.0 * omega_s * lam
+    dw = np.array([wiener_increments(90 + j, dt, n_steps, True) for j in range(n)]).T
+    psi = np.array([_kernels.psi_from_bloch(0.6, 0.0, -0.8)] * n).T
+    whole = _kernels.diffusive_walk_batch(psi, np.zeros(n), omega_s, alpha, dt, dw)
+    rows, lws, lw = [], [], np.zeros(n)
+    for start in range(0, n_steps, 8):
+        psi_rows, lw_rows = _kernels.diffusive_walk_batch(
+            psi, lw, omega_s, alpha, dt, dw[start:start + 8])
+        rows.append(psi_rows if start == 0 else psi_rows[1:])
+        lws.append(lw_rows if start == 0 else lw_rows[1:])
+        psi, lw = psi_rows[-1], lw_rows[-1]
+    assert np.concatenate(rows).tobytes() == whole[0].tobytes()
+    assert np.concatenate(lws).tobytes() == whole[1].tobytes()
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
@@ -511,12 +546,116 @@ def test_mlp_stalls_at_its_fixed_point():
     assert stall.filename == __file__
 
 
-def test_survival_log_weight_carries_decay_across_blocks():
-    z = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 23))
-    whole = np.array([survival_log_weight(zk, 3.0, 1e-3) for zk in z])
-    decay, blocks = np.zeros(5), []
-    for start in range(0, 22, 8):  # blocks share their edge sample, as in ensemble_stats
-        lw = survival_log_weight(z[:, start:start + 9], 3.0, 1e-3, decay)
-        blocks.append(lw if start == 0 else lw[:, 1:])
-        decay = -lw[:, -1]
-    assert np.array_equal(np.concatenate(blocks, axis=1), whole)
+def _unnormalized_record(b0, params, dt, n_steps, seed, gaussian, step):
+    """psi = (a, b) rows stepped by the 2x2 ``step`` and the readout's phase of
+    b, never renormalized: their Bloch rows and log |psi|^2."""
+    phases = np.exp(-1j * math.sqrt(params.alpha) * wiener_increments(seed, dt, n_steps, gaussian))
+    psi = np.empty((n_steps + 1, 2), dtype=complex)
+    ur, ui, vr, vi = _kernels.psi_from_bloch(b0.x, b0.y, b0.z)
+    psi[0] = ur + 1j * ui, 1j * (vr + 1j * vi)
+    for i, phase in enumerate(phases):
+        a, b = step @ psi[i]
+        psi[i + 1] = a, b * phase
+    norm2 = np.sum(np.abs(psi) ** 2, axis=1)
+    rho01 = psi[:, 0] * psi[:, 1].conj() / norm2
+    z = (np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2) / norm2
+    return np.column_stack((2.0 * rho01.real, -2.0 * rho01.imag, z)), np.log(norm2)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["binary", "gaussian"])
+def test_log_weight_is_log_norm_of_the_unnormalized_record(gaussian):
+    # bounds fixed before the first run.  The log-weight is compared with the
+    # product of the kernel's own step maps: a last-bit bias of E, shared by
+    # every step, would add up over 20 000 steps (expm's E differs from the
+    # closed form by up to 1.1e-16 and moves the sum by 4.5e-12).  The Bloch
+    # rows do not add such errors up, so they are compared with the
+    # independent expm of the no-click generator -i Omega_s sigma_x - alpha/2 |1><1|.
+    b0, dt, t_end, seed = BlochState(0.0, 0.6, 0.8), 1e-3, 20.0, 14
+    traj = sample_trajectory(b0, PARAMS_15, dt, t_end, seed, gaussian)
+    e00, e01, e10, e11 = _kernels.null_step_map(PARAMS_15.omega_s, PARAMS_15.alpha, dt)
+    own = np.array([[e00, -1j * e01], [1j * e10, e11]])  # E on (a, b) = (u, i v)
+    _, log_norm2 = _unnormalized_record(b0, PARAMS_15, dt, 20_000, seed, gaussian, own)
+    generator = -1j * PARAMS_15.omega_s * SIGMA_X - 0.5 * PARAMS_15.alpha * P1
+    bloch, _ = _unnormalized_record(b0, PARAMS_15, dt, 20_000, seed, gaussian,
+                                    expm(generator * dt))
+    assert traj.log_weight.shape == traj.t.shape
+    assert traj.log_weight[0] == 0.0
+    assert np.max(np.abs(traj.log_weight - log_norm2)) <= 1e-12
+    assert np.max(np.abs(traj.bloch - bloch)) <= 1e-11
+
+
+def test_log_weight_is_near_the_trapezoid_rule():
+    # -alpha/2 int (1 - z) dt by the trapezoid rule over the samples was the
+    # former weight; at T = 20 the two differ by about 1e-5
+    dt, t_end = 1e-3, 20.0
+    traj = sample_trajectory(BlochState(0, 0, 1), PARAMS_15, dt, t_end, 7)
+    trapezoid = -0.5 * PARAMS_15.alpha * cumulative_trapezoid(
+        1.0 - traj.bloch[:, 2], dx=dt, initial=0.0)
+    assert np.max(np.abs(traj.log_weight - trapezoid)) <= 1e-4
+
+
+def test_large_alpha_dt_stays_finite_and_on_the_sphere():
+    # alpha dt = 4 per step: the excited amplitude is nearly erased each step
+    params = DiffusiveParams.from_lambda(0.5, 200.0, tau=1.0)
+    for gaussian in (False, True):
+        traj = sample_trajectory(BlochState(0.0, 0.0, -1.0), params, 1e-2, 1.0, 3, gaussian)
+        assert np.all(np.isfinite(traj.bloch)) and np.all(np.isfinite(traj.log_weight))
+        assert np.max(np.abs(np.linalg.norm(traj.bloch, axis=1) - 1.0)) <= 1e-12
+        assert np.all(np.diff(traj.log_weight) <= 0.0)
+        stats = ensemble_stats(BlochState(0.0, 0.0, -1.0), params, 1e-2, 1.0, 3, 3, gaussian)
+        assert np.all(np.isfinite(stats.mean)) and np.all(stats.n_eff >= 1.0)
+
+
+def test_start_inside_the_bloch_ball_is_rejected():
+    # a conditioned trajectory is a pure state; a mixed start has no psi
+    inside = BlochState(0.0, 0.3, 0.4)
+    with pytest.raises(InvalidState, match="below 1"):
+        sample_trajectory(inside, PARAMS_15, 1e-3, 0.01, 0)
+    with pytest.raises(InvalidState, match="below 1"):
+        ensemble_stats(inside, PARAMS_15, 1e-3, 0.01, 2, 0)
+    # within BlochState's tolerance of the sphere: the pure state along it,
+    # row 0 kept as given
+    near = BlochState(0.0, 0.6, 0.8 * (1.0 - 1e-10))
+    traj = sample_trajectory(near, PARAMS_15, 1e-3, 0.01, 0)
+    assert traj.bloch[0].tolist() == [near.x, near.y, near.z]
+    assert abs(np.linalg.norm(traj.bloch[1]) - 1.0) <= 1e-15
+
+
+def _plane_state(theta, p_theta):
+    """The chart from the phase plane into x = p_x = 0: y = sin theta,
+    z = cos theta, p_theta = p_y cos theta - p_z sin theta and no radial
+    momentum (y p_y + z p_z = 0)."""
+    s, c = math.sin(theta), math.cos(theta)
+    return ExtendedState(0.0, s, c, 0.0, p_theta * c, -p_theta * s)
+
+
+@pytest.mark.parametrize("lam, theta0, p0", [(0.5, 0.0, 0.3), (1.5, 0.0, 0.3),
+                                             (1.5, 2.0, -0.2), (1.2, -3.0, 0.1)])
+def test_mlp_in_the_plane_is_the_phase_path(lam, theta0, p0):
+    # on x = p_x = 0 the readout is 0 and the six extremal equations are the
+    # paper's (theta, p_theta) flow; bounds fixed before the first run, with
+    # an absolute part since the relative error of p_theta peaks where it
+    # crosses zero
+    params = DiffusiveParams.from_lambda(0.5, lam, tau=100.0)
+    dt, t_end = 1e-3, 6.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StalledAtFixedPoint)
+        mlp = integrate_mlp(_plane_state(theta0, p0), params, dt, t_end)
+        phase = integrate_phase_path(PhasePoint(theta0, p0), PhaseParams(0.5, lam), t_end, dt)
+    x, y, z, px, py, pz = mlp.states.T
+    assert np.all(x == 0.0) and np.all(px == 0.0) and np.all(mlp.readout == 0.0)
+    theta = np.arctan2(y, z)
+    p_theta = py * np.cos(theta) - pz * np.sin(theta)
+    dtheta = np.remainder(theta - phase.theta + math.pi, 2.0 * math.pi) - math.pi
+    assert np.max(np.abs(dtheta)) <= 1e-10
+    assert np.all(np.abs(p_theta - phase.p_theta) <= 1e-10 + 1e-8 * np.abs(phase.p_theta))
+
+
+def test_stochastic_hamiltonian_is_phase_hamiltonian_through_the_chart():
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        lam, theta, p_theta = rng.uniform(0.0, 3.0), rng.uniform(-4.0, 4.0), rng.uniform(-3.0, 3.0)
+        params = DiffusiveParams.from_lambda(0.5, lam, tau=100.0)
+        h = stochastic_hamiltonian(_plane_state(theta, p_theta), params)
+        h_phase = phase_hamiltonian(theta, p_theta, 0.5, lam)
+        assert abs(h - h_phase) <= 1e-13 * (1.0 + abs(h_phase))

@@ -1,14 +1,17 @@
-"""The RK4 kernels step their pointwise formulas bit for bit.
+"""The kernels against their pointwise formulas and references.
 
-``mlp_rk4`` fuses :func:`_kernels.mlp_rhs` and ``diffusive_walk``
-:func:`_kernels.bloch_drift` into one closure, each with its constant
-products hoisted.  Here classic RK4 is stepped through the pointwise
-functions themselves, and the kernels must give the same bytes.  The steps
-are coarse (dt 5e-3 to 1e-2): at dt = 1e-3 a one-ulp change in a stage is
-scaled by dt / 6 and mostly rounds away, so a regrouped sum could go unseen.
-The phase path is evaluated in closed form; the same RK4 through
-:func:`phase._phase_rhs` is kept here as its reference, and the numpy form
-of ``_phase_rhs`` must step and evaluate to the bytes of the float form.
+``mlp_rk4`` fuses :func:`_kernels.mlp_rhs` into one closure with its
+constant products hoisted.  Here classic RK4 is stepped through the
+pointwise function itself, and the kernel must give the same bytes.  The
+steps are coarse (dt 5e-3 to 1e-2): at dt = 1e-3 a one-ulp change in a stage
+is scaled by dt / 6 and mostly rounds away, so a regrouped sum could go
+unseen.  The diffusive walk steps the exact linear map of psi instead of the
+drift: its closed-form matrix is checked against ``scipy.linalg.expm``, and
+its path against classic RK4 through :func:`_kernels.bloch_drift` plus the
+readout's rotation, to a bound.  The phase path is evaluated in closed form;
+the same RK4 through :func:`phase._phase_rhs` is kept here as its reference,
+and the numpy form of ``_phase_rhs`` must step and evaluate to the bytes of
+the float form.
 """
 
 import math
@@ -16,6 +19,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from zenopath import (
     DiffusiveParams,
@@ -133,13 +137,37 @@ def test_mlp_kernel_equals_rk4_through_mlp_rhs_byte_for_byte(lam, s0):
     assert np.concatenate([p.states for p in pieces]).tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("gaussian", [False, True], ids=["binary", "gaussian"])
-@pytest.mark.parametrize("start", [(0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, -1.0)])
-@pytest.mark.parametrize("lam", [0.5, 1.5])
-def test_diffusive_walk_equals_rk4_through_bloch_drift_byte_for_byte(lam, start, gaussian):
-    omega_s, dt = 0.5, 1e-2
+@pytest.mark.parametrize("dt", [1e-3, 1e-2])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 3.0, 200.0])
+def test_null_step_map_matches_expm(lam, dt):
+    # the closed form on each side of lam = 1 and at it: no 0/0 near it,
+    # no overflow at large alpha dt; bound fixed before the first run
+    omega_s = 0.5
     alpha = 4.0 * omega_s * lam
-    dw = wiener_increments(5, dt, N_STEPS, gaussian)
+    e = np.array(_kernels.null_step_map(omega_s, alpha, dt)).reshape(2, 2)
+    k = np.array([[0.0, omega_s], [-omega_s, -0.5 * alpha]])
+    assert np.all(np.isfinite(e))
+    assert np.max(np.abs(e - expm(k * dt))) <= 1e-14
+
+
+@pytest.mark.parametrize("start", [(0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, -1.0),
+                                   (0.6, 0.0, -0.8), (0.48, -0.6, 0.64)])
+def test_psi_from_bloch_and_bloch_rows_invert_each_other(start):
+    # within two ulps of 1 (2.2e-16 each above 1)
+    psi = np.array([_kernels.psi_from_bloch(*start)])
+    assert abs(np.sum(psi * psi) - 1.0) <= 4.5e-16
+    assert np.max(np.abs(_kernels.bloch_rows(psi)[0] - start)) <= 4.5e-16
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["binary", "gaussian"])
+@pytest.mark.parametrize("start", [(0.0, 0.0, 1.0), (0.6, 0.0, -0.8)])
+@pytest.mark.parametrize("lam", [0.0, 1.5])
+def test_diffusive_walk_matches_rk4_through_bloch_drift(lam, start, gaussian):
+    # the exact step against RK4 through the drift, then the readout's exact
+    # rotation and renormalization; the bound was fixed before the first run
+    omega_s, dt, n_steps = 0.5, 1e-3, 20_000
+    alpha = 4.0 * omega_s * lam
+    dw = wiener_increments(5, dt, n_steps, gaussian)
     angle = math.sqrt(alpha) * dw
     rows = [start]
     state = start
@@ -151,5 +179,6 @@ def test_diffusive_walk_equals_rk4_through_bloch_drift_byte_for_byte(lam, start,
         norm = math.sqrt(xr * xr + yr * yr + zn * zn)
         state = (xr / norm, yr / norm, zn / norm)
         rows.append(state)
-    walk = _kernels.diffusive_walk(*start, omega_s, alpha, dt, dw)
-    assert walk.tobytes() == np.array(rows).tobytes()
+    walk, _ = _kernels.diffusive_walk(*start, omega_s, alpha, dt, dw)
+    assert walk[0].tolist() == list(start)
+    assert np.max(np.abs(walk - np.array(rows))) <= 1e-11
