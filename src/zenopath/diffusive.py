@@ -118,7 +118,9 @@ def sme_rhs(b: BlochState, r: float, params: DiffusiveParams):
 class DiffusiveTrajectory:
     """Sampled conditioned trajectory: times, Bloch rows (x, y, z), the readout
     r_k = sqrt(tau) dW_k / dt of the step from t_k (the last is not walked)
-    and the log-probability that the record held no click up to t_k."""
+    and the log-probability that the record held no click up to t_k (at
+    alpha = 0 it is 0 up to rounding, which adds about 4e-12 over 20 000
+    steps: notes/decisions.md, section 19)."""
 
     t: np.ndarray
     bloch: np.ndarray
@@ -297,7 +299,8 @@ def mlp_fixed_point(params: DiffusiveParams) -> ExtendedState:
 class EnsembleStats:
     """Per-time-point survival-weighted mean and population variance of the
     Bloch coordinates, and the effective number of trajectories
-    (sum w)^2 / sum w^2 behind them (the standard error of the mean is
+    (sum w)^2 / sum w^2 behind them, w being each path's no-click probability
+    relative to the largest at that time (the standard error of the mean is
     sqrt(var / n_eff))."""
 
     t: np.ndarray
@@ -323,21 +326,19 @@ def ensemble_stats(
     relaxes to the stationary state of the record-averaged null-outcome
     equation (notes/decisions.md); at alpha = 0 all weights are equal.
 
-    Trajectory k uses seed ``base_seed + k`` and enters the weighted Welford
-    update in that order, so n = 1 reproduces :func:`sample_trajectory` with
-    (``base_seed``, ``gaussian``) exactly.  All n trajectories are stepped
-    together, in blocks of ``_BLOCK_STEPS`` time steps, with the arithmetic of
-    the single sampler and one generator per trajectory (notes/decisions.md,
-    section 6): only one block is held at once, and it hands psi and the
-    log-weights to the next.  Same checks and warning as :func:`sample_trajectory`.
+    Trajectory k uses seed ``base_seed + k``, so n = 1 reproduces
+    :func:`sample_trajectory` with (``base_seed``, ``gaussian``) exactly.  All n
+    trajectories are stepped together, in blocks of ``_BLOCK_STEPS`` time
+    steps, with the arithmetic of the single sampler and one generator per
+    trajectory, and each block is reduced over them in one weighted pass
+    (notes/decisions.md, section 6); only one block is held at once.  Same
+    checks and warning as :func:`sample_trajectory`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     n_steps, t = _sampling_steps(params, dt, t_end)
     rngs = [np.random.default_rng(base_seed + k) for k in range(n)]
-    mean = np.zeros((n_steps + 1, 3))
-    var = np.zeros((n_steps + 1, 3))
-    log_w = np.full(n_steps + 1, -np.inf)
+    mean, var = np.empty((2, n_steps + 1, 3))
     n_eff = np.empty(n_steps + 1)
     # each trajectory's psi and log-weight at the block's first row
     psi, lw0 = np.array(_pure_start(b0))[:, None].repeat(n, axis=1), np.zeros(n)
@@ -348,27 +349,24 @@ def ensemble_stats(
             np.array([_draw(rng, dt, size, gaussian) for rng in rngs]).T,
         )
         psi, lw0 = psi_rows[-1].copy(), lw[-1].copy()
-        paths = _kernels.bloch_rows(psi_rows).transpose(2, 0, 1)  # (n, steps + 1, 3), a view
+        dev = _kernels.bloch_rows(psi_rows)  # (size + 1, 3, n)
+        del psi_rows
         if start == 0:
-            paths[:, 0] = b0.as_array()  # the start exactly as given
-        lw = lw.T  # (n, steps + 1), a view
-        # the first row of a later block is the last row of the one before
-        first = 0 if start == 0 else 1
-        rows = slice(start + first, start + size + 1)
-        # (sum w)^2 / sum w^2 over the block's weights relative to the largest:
-        # exactly n when all weights are equal
-        rel = np.exp(lw[:, first:] - lw[:, first:].max(axis=0))
-        n_eff[rows] = rel.sum(axis=0) ** 2 / (rel * rel).sum(axis=0)
-        # weighted Welford (West 1979) on log-weights in seed order: equal
-        # trajectories keep the variance exactly zero, and no weight
-        # underflows however long the run
-        for k in range(n):
-            bloch = paths[k, first:]
-            lwk = lw[k, first:]
-            log_w[rows] = np.logaddexp(log_w[rows], lwk)
-            share = np.exp(lwk - log_w[rows])[:, None]  # this trajectory's share of the weight
-            delta = bloch - mean[rows]
-            mean[rows] += share * delta
-            var[rows] = (1.0 - share) * var[rows] + share * delta * (bloch - mean[rows])
-        del psi_rows, paths, lw, rel, bloch, lwk  # hold one block at a time, views included
+            dev[0] = b0.as_array()[:, None]  # the start exactly as given
+        # a later block's row 0 is the last row before, bit for bit: rewritten as it was
+        rows = slice(start, start + size + 1)
+        # weights relative to each row's largest: none overflows, equal ones give n_eff = n
+        w = np.exp(lw - lw.max(axis=1, keepdims=True))
+        total = w.sum(axis=1, keepdims=True)
+        n_eff[rows] = total[:, 0] ** 2 / (w * w).sum(axis=1)
+        # shifted two-pass in place, on the deviations from trajectory 0: equal
+        # paths give var exactly 0, and var is a weighted sum of squares
+        ref = dev[:, :, 0].copy()
+        dev -= ref[:, :, None]
+        shift = np.einsum("rn,rcn->rc", w, dev) / total
+        mean[rows] = ref + shift
+        dev -= shift[:, :, None]
+        dev *= dev
+        var[rows] = np.einsum("rn,rcn->rc", w, dev) / total
+        del dev, lw, w  # hold one block at a time
     return EnsembleStats(t=t, mean=mean, var=var, n_eff=n_eff)

@@ -311,22 +311,21 @@ def test_ensemble_survival_weighted_by_hand():
 
 
 def _ensemble_reference(b0, params, dt, t_end, n, base_seed, gaussian):
-    """One sample_trajectory per seed, then the weighted Welford update in seed
-    order: the per-trajectory form that the batched ensemble must reproduce."""
-    mean = var = log_w = None
-    for k in range(n):
-        traj = sample_trajectory(b0, params, dt, t_end, base_seed + k, gaussian)
-        bloch, lw = traj.bloch, traj.log_weight
-        if mean is None:
-            mean = np.zeros_like(bloch)
-            var = np.zeros_like(bloch)
-            log_w = np.full_like(lw, -np.inf)
-        log_w = np.logaddexp(log_w, lw)
-        share = np.exp(lw - log_w)[:, None]
-        delta = bloch - mean
-        mean += share * delta
-        var = (1.0 - share) * var + share * delta * (bloch - mean)
-    return mean, var
+    """One sample_trajectory per seed, stacked into (rows, 3, n), then the
+    weighted shifted two-pass over all rows at once: the per-seed form that
+    the batched ensemble must reproduce block by block."""
+    trajs = [sample_trajectory(b0, params, dt, t_end, base_seed + k, gaussian)
+             for k in range(n)]
+    bloch = np.stack([tr.bloch for tr in trajs], axis=2)
+    lw = np.stack([tr.log_weight for tr in trajs], axis=1)
+    w = np.exp(lw - lw.max(axis=1, keepdims=True))
+    total = w.sum(axis=1)[:, None]
+    ref = bloch[:, :, 0].copy()
+    dev = bloch - ref[:, :, None]
+    shift = np.einsum("rn,rcn->rc", w, dev) / total
+    dev -= shift[:, :, None]
+    dev *= dev
+    return ref + shift, np.einsum("rn,rcn->rc", w, dev) / total
 
 
 @pytest.mark.parametrize("block", [None, 7])
@@ -348,6 +347,49 @@ def test_ensemble_batch_equals_per_seed_reference(monkeypatch, params, gaussian,
     assert stats.mean.tobytes() == mean.tobytes()
     assert stats.var.tobytes() == var.tobytes()
     assert np.min(stats.var) >= 0.0
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["binary", "gaussian"])
+def test_ensemble_matches_exactly_summed_moments(gaussian):
+    # bound fixed before the first run: every (t, coordinate) mean and variance
+    # summed exactly with math.fsum over the per-seed paths, weighted by
+    # exp(log_weight), in the plain two-pass form
+    b0, dt, t_end, n, seed = BlochState(0.0, 0.6, 0.8), 1e-3, 2.5, 4, 31
+    stats = ensemble_stats(b0, PARAMS_15, dt, t_end, n, seed, gaussian=gaussian)
+    trajs = [sample_trajectory(b0, PARAMS_15, dt, t_end, seed + k, gaussian) for k in range(n)]
+    weights = np.exp([tr.log_weight for tr in trajs]).T.tolist()
+    paths = np.array([tr.bloch for tr in trajs]).transpose(1, 2, 0).tolist()  # [t][coordinate][k]
+    mean, var = [], []
+    for w, row in zip(weights, paths):
+        total = math.fsum(w)
+        m = [math.fsum(wk * xk for wk, xk in zip(w, xs)) / total for xs in row]
+        mean.append(m)
+        var.append([math.fsum(wk * (xk - mk) ** 2 for wk, xk in zip(w, xs)) / total
+                    for xs, mk in zip(row, m)])
+    assert np.max(np.abs(stats.mean - mean)) <= 1e-14
+    assert np.max(np.abs(stats.var - var)) <= 1e-14
+
+
+def test_ensemble_weights_wider_than_the_float_range():
+    # near lam = 1 a step of Omega_s dt = 10 maps almost every state onto one
+    # direction, and the Gaussian readout's phase sets how much norm survives
+    # it, so the log-weights random-walk apart; by the end they span more
+    # than 745, where a weight relative to the largest underflows to 0
+    params = DiffusiveParams.from_lambda(0.5, 0.99, tau=4e5)
+    b0, dt, t_end, n, seed = BlochState(0.0, 0.0, 1.0), 20.0, 4e5, 4, 3
+    stats = ensemble_stats(b0, params, dt, t_end, n, seed, gaussian=True)
+    trajs = [sample_trajectory(b0, params, dt, t_end, seed + k, True) for k in range(n)]
+    lw = np.array([tr.log_weight for tr in trajs])
+    ordered = np.sort(lw, axis=0)
+    wide = ordered[-1] - ordered[0] > 745.0
+    assert wide.any()
+    # there the runner-up lies more than 40 below, so the others weigh < 1e-17
+    assert np.min((ordered[-1] - ordered[-2])[wide]) > 40.0
+    assert np.all(np.isfinite(stats.mean)) and np.all(np.isfinite(stats.var))
+    assert np.min(stats.var) >= 0.0
+    assert np.all((stats.n_eff >= 1.0) & (stats.n_eff <= n))
+    dominant = np.array([tr.bloch for tr in trajs])[lw.argmax(axis=0), np.arange(lw.shape[1])]
+    assert np.max(np.abs(stats.mean[wide] - dominant[wide])) <= 1e-15
 
 
 def _batch_walk(starts, omega_s, alpha, dt, dw, log_weight=None):
@@ -582,6 +624,14 @@ def test_log_weight_is_log_norm_of_the_unnormalized_record(gaussian):
     assert traj.log_weight[0] == 0.0
     assert np.max(np.abs(traj.log_weight - log_norm2)) <= 1e-12
     assert np.max(np.abs(traj.bloch - bloch)) <= 1e-11
+
+
+def test_log_weight_at_alpha_zero_is_rounding_only():
+    # bound fixed before the first run: without measurement no norm is
+    # removed, and each step divides by a |psi|^2 that is 1 to rounding only
+    params = DiffusiveParams(omega_s=0.5, alpha=0.0, tau=100.0)
+    traj = sample_trajectory(BlochState(0.0, 0.6, 0.8), params, 1e-3, 20.0, 5)
+    assert np.max(np.abs(traj.log_weight)) <= 1e-10
 
 
 def test_log_weight_is_near_the_trapezoid_rule():
