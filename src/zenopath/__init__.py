@@ -31,14 +31,12 @@ from .phase import (
     cdj_hamiltonian,
     critical_points,
     energy_level,
-    hamilton_jacobian,
     hamilton_rhs,
     integrate_phase_path,
     p_theta_curve,
     separatrix_energies,
     stability_exponents,
     stable_angle,
-    wrap_angle,
 )
 from .action import (
     TransitionTimes,
@@ -60,6 +58,7 @@ from .diffusive import (
     mlp_fixed_point,
     mlp_pieces,
     mlp_rhs,
+    plane_state,
     readout_constraint,
     sample_trajectory,
     sme_rhs,

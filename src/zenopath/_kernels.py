@@ -8,15 +8,16 @@ times as much per operation and gives the same IEEE results
 (4, n) numpy array, each step through buffers made once per call (section 6).
 ``perfbench/`` times each scalar kernel.
 
-:func:`mlp_rk4` steps one closure of :func:`mlp_rhs` with the constant
-products hoisted and the operation order kept, so its path is bit-identical
-to stepping the pointwise formula (``tests/test_kernels.py``).  The diffusive
-walks step no drift: they apply the exact linear map of the state vector
-(:func:`null_step_map`, section 19), and the batch is pinned column by column
-to :func:`diffusive_walk` (``tests/test_diffusive.py``).  The scalar loops
-store each row through a flat ``memoryview`` of the output array, which
-costs about half as much as numpy's element writes.  The phase path has no
-loop: ``phase.integrate_phase_path`` evaluates it in closed form.
+:func:`mlp_rk4` steps :func:`mlp_stage`, the one definition of the
+extremal equations, whose first three components are pinned to
+:func:`bloch_drift` byte for byte (``tests/test_kernels.py``).  The
+diffusive walks step no drift: they apply the exact linear map of the state
+vector (:func:`null_step_map`, section 19), and the batch is pinned column
+by column to :func:`diffusive_walk` (``tests/test_diffusive.py``).  The
+scalar loops store each row through a flat ``memoryview`` of the output
+array, which costs about half as much as numpy's element writes.  The phase
+path has no loop: ``phase.integrate_phase_path`` evaluates it in closed
+form.
 """
 
 import warnings
@@ -262,45 +263,21 @@ def diffusive_walk_batch(psi, log_weight, omega_s, alpha, dt, dw):
     return out, _log_weight_rows(lw, log_weight)
 
 
-def mlp_rhs(x, y, z, px, py, pz, omega_s, alpha):
-    """The six extremal equations, with the readout constraint substituted:
-    r sqrt(alpha/tau) = alpha (y p_x - x p_y), so tau cancels."""
-    w = alpha * (y * px - x * py)
-    dx, dy, dz = bloch_drift(x, y, z, omega_s, alpha, w)
-    return (
-        dx,
-        dy,
-        dz,
-        0.5 * alpha * z * px + w * py,
-        -w * px + 0.5 * alpha * z * py - 2.0 * omega_s * pz,
-        0.5 * alpha * x * px
-        + 0.5 * alpha * y * py
-        + 2.0 * omega_s * py
-        + alpha * z * pz
-        - 0.5 * alpha,
-    )
+def mlp_stage(omega_s, alpha):
+    """The six extremal equations at (omega_s, alpha), as one function of
+    (x, y, z, p_x, p_y, p_z) for scalars and arrays alike.
 
-
-def mlp_rk4(s0, omega_s, alpha, dt, n_steps):
-    """Fixed-step RK4 on the six extremal equations of the most-likely path.
-
-    Each stage is :func:`mlp_rhs` fused with :func:`bloch_drift` into one
-    closure, its constant products hoisted and its operation order kept, so
-    the path is bit-identical to stepping :func:`mlp_rhs`
-    (notes/decisions.md, section 5).
+    The readout constraint is substituted: r sqrt(alpha/tau) = alpha (y p_x -
+    x p_y), so tau cancels.  The first three components are
+    :func:`bloch_drift` with that rotation, bit for bit
+    (``tests/test_kernels.py``); the constant products are formed once here,
+    not per call.
     """
-    out = np.empty((n_steps + 1, 6))
-    out[0] = s0
-    buf = memoryview(out).cast("B").cast("d")
-    i = 6
-    x, y, z, px, py, pz = s0.tolist()
-    min_speed = 1.0e308
-    h = 0.5 * dt
     nha = -0.5 * alpha
     ha = 0.5 * alpha
     tw = 2.0 * omega_s
 
-    def rhs(x, y, z, px, py, pz):
+    def stage(x, y, z, px, py, pz):
         w = alpha * (y * px - x * py)
         return (
             nha * x * z + w * y,
@@ -310,6 +287,22 @@ def mlp_rk4(s0, omega_s, alpha, dt, n_steps):
             -w * px + ha * z * py - tw * pz,
             ha * x * px + ha * y * py + tw * py + alpha * z * pz - ha,
         )
+
+    return stage
+
+
+def mlp_rk4(s0, omega_s, alpha, dt, n_steps):
+    """Fixed-step RK4 on the six extremal equations of the most-likely path:
+    each stage is one call of :func:`mlp_stage`, built once per call
+    (notes/decisions.md, sections 5 and 20)."""
+    out = np.empty((n_steps + 1, 6))
+    out[0] = s0
+    buf = memoryview(out).cast("B").cast("d")
+    i = 6
+    x, y, z, px, py, pz = s0.tolist()
+    min_speed = 1.0e308
+    h = 0.5 * dt
+    rhs = mlp_stage(omega_s, alpha)
 
     for _ in range(n_steps):
         a0, a1, a2, a3, a4, a5 = rhs(x, y, z, px, py, pz)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (EpsilonTooLarge, IntegrandSingular, SingularEndpoint, UnsupportedLambda,
                      finite, nonnegative, positive, zeno_regime)
-from .phase import critical_angles, nullcline_factor
+from .phase import _saddle_scale, critical_angles, nullcline_factor
 
 _QUAD_ABS_TOL = 1e-10
 _ENDPOINT_TOL = 1e-9
@@ -75,7 +75,7 @@ def _antiderivative(theta: float, lam: float) -> float:
             - math.log1p(lam * math.sin(u))
             + k * period_area
         )
-    s = math.sqrt(lam * lam - 1.0)
+    s = _saddle_scale(lam)
     return (-(lam / s) * math.log(abs((s + lam + t) / (s - lam - t)))
             - math.log(abs(nullcline_factor(u, lam))))
 
@@ -191,7 +191,7 @@ def zeno_frequencies(lam: float, omega_s: float, epsilon: float = 1e-3) -> Trans
     # takes |dPsi| / (2 Omega_s s) with Psi(theta) = S(theta-t2) - S(theta-t1) and
     # S(d) = log|sin(d/2)|.  Each dPsi is the log of one ratio of sines, which
     # stays accurate as the outer segment shrinks (eps -> -t1).
-    s, g = math.sqrt(lam - 1.0) * math.sqrt(lam + 1.0), t1 - t2  # no lam*lam to overflow
+    s, g = _saddle_scale(lam), t1 - t2
     h1, h2, he = (math.sin(0.5 * d) for d in (t1, t2, epsilon))
     outer = abs(math.log(he / h1 * (h2 / math.sin(0.5 * (g + epsilon))))) / (2.0 * omega_s * s)
     band = math.log(math.sin(0.5 * (g - epsilon)) / he) / (omega_s * s)

@@ -23,7 +23,8 @@ flow in (x, y, z, p_x, p_y, p_z) with the readout pinned by the constraint
 r = sqrt(alpha tau) (y p_x - x p_y); the associated stochastic Hamiltonian is
 conserved along solutions, and for lam = alpha/(4 Omega_s) > 1 the
 coordinates are drawn to the same critical point as the reduced phase-space
-picture.
+picture.  On the plane x = p_x = 0 the flow is the reduced one, reached
+through the chart :func:`plane_state` (notes/decisions.md, section 20).
 """
 
 import math
@@ -34,8 +35,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidState, StepTooLarge, WeakCouplingWarning, nonnegative, positive
-from .errors import zeno_regime
 from .measurement import _BLOCH_NORM_TOL, BlochState
+from .phase import PhaseParams, PhasePoint, critical_points
 
 #: Time steps per block of the batched ensemble; a block of n trajectories
 #: holds about 100 n _BLOCK_STEPS bytes (notes/decisions.md, section 6).
@@ -80,6 +81,19 @@ class ExtendedState:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z, self.p_x, self.p_y, self.p_z])
+
+
+def plane_state(point: PhasePoint, p_r: float) -> ExtendedState:
+    """The chart from the reduced phase plane into the plane x = p_x = 0 of
+    the extremal flow, where the readout is 0 and the flow on the unit circle
+    is the (theta, p_theta) flow: y = sin theta, z = cos theta, and the
+    momentum p_theta along the circle plus the radial momentum ``p_r`` = p.r,
+    p_y = p_theta cos theta + p_r sin theta and
+    p_z = -p_theta sin theta + p_r cos theta (notes/decisions.md, section 20).
+    """
+    sin, cos = math.sin(point.theta), math.cos(point.theta)
+    return ExtendedState(0.0, sin, cos, 0.0, point.p_theta * cos + p_r * sin,
+                         -point.p_theta * sin + p_r * cos)
 
 
 def wiener_increments(seed: int, dt: float, n: int, gaussian: bool = False) -> np.ndarray:
@@ -180,8 +194,9 @@ def sample_trajectory(
 
 
 def mlp_rhs(s: ExtendedState, params: DiffusiveParams):
-    """Six extremal derivatives with the readout constraint substituted."""
-    return _kernels.mlp_rhs(s.x, s.y, s.z, s.p_x, s.p_y, s.p_z, params.omega_s, params.alpha)
+    """Six extremal derivatives with the readout constraint substituted
+    (:func:`_kernels.mlp_stage`)."""
+    return _kernels.mlp_stage(params.omega_s, params.alpha)(s.x, s.y, s.z, s.p_x, s.p_y, s.p_z)
 
 
 def stochastic_hamiltonian(s: ExtendedState, params: DiffusiveParams) -> float:
@@ -276,23 +291,13 @@ def _mlp_pieces(s, params, dt, n_steps, rows, stacklevel):
 
 
 def mlp_fixed_point(params: DiffusiveParams) -> ExtendedState:
-    """Stationary extremal state for lam > 1.
-
-    Coordinates sit at (0, -1/lam, sqrt(1 - 1/lam^2)) -- the same point as the
-    reduced-phase-space saddle (sin theta1, cos theta1) -- with momenta
-    (0, 1/(2 lam z^2), 1/(2 z)) and vanishing readout.
-    """
-    lam = params.lam
-    zeno_regime(lam, "the extremal fixed point requires")
-    z = math.sqrt(1.0 - 1.0 / lam**2)
-    return ExtendedState(
-        x=0.0,
-        y=-1.0 / lam,
-        z=z,
-        p_x=0.0,
-        p_y=1.0 / (2.0 * lam * z * z),
-        p_z=1.0 / (2.0 * z),
-    )
+    """Stationary extremal state for lam > 1: the reduced saddle
+    (theta1, p_theta1 = 1/s) of :func:`phase.critical_points` through
+    :func:`plane_state`, with the radial momentum 1/2 - 1/(2 s^2) that keeps
+    p_r stationary too (s = sqrt(lam^2 - 1); notes/decisions.md, section 20).
+    The readout vanishes there."""
+    cps = critical_points(PhaseParams(params.omega_s, params.lam))
+    return plane_state(cps.p1, 0.5 - 0.5 * cps.p_theta1 * cps.p_theta1)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ where lam = alpha / (4 Omega_s) controls the Zeno crossover at lam = 1.
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
@@ -85,15 +84,7 @@ class MeasurementParams:
         return cls(omega_s=omega_s, j_coupling=j, dt=dt)
 
 
-class BlochPoint(Protocol):
-    """Bloch coordinates x, y, z; an integrator's stage point may lie just off the sphere."""
-
-    x: float
-    y: float
-    z: float
-
-
-def drift_rhs(b: BlochPoint, omega_s: float, lam: float):
+def drift_rhs(b, omega_s: float, lam: float):
     """Deterministic post-selected Bloch drift (the dt -> 0 limit of one step):
     :func:`_kernels.bloch_drift` at alpha = 4 omega_s lam without rotation.
     Reads only b.x, b.y and b.z: RK4 stage points, O(dt^2) off the sphere and

@@ -23,11 +23,6 @@ from .errors import (CurveSingularity, NonFiniteState, StalledAtFixedPoint, fini
 _CRITICAL_DISTANCE = 1e-6
 
 
-def wrap_angle(theta: float) -> float:
-    """Map an angle to the principal range [-pi, pi]."""
-    return math.remainder(theta, math.tau)
-
-
 @dataclass(frozen=True)
 class PhasePoint:
     theta: float
@@ -116,17 +111,6 @@ def hamilton_rhs(p: PhasePoint, params: PhaseParams):
     return _phase_rhs(p.theta, p.p_theta, params.omega_s, params.lam)
 
 
-def hamilton_jacobian(p: PhasePoint, params: PhaseParams) -> np.ndarray:
-    """Analytic 2x2 Jacobian of :func:`hamilton_rhs` at a phase point."""
-    w = 2.0 * params.omega_s * params.lam
-    return np.array(
-        [
-            [-w * math.cos(p.theta), 0.0],
-            [w * (-p.p_theta * math.sin(p.theta) + math.cos(p.theta)), w * math.cos(p.theta)],
-        ]
-    )
-
-
 def p_theta_curve(theta: float, lam: float, e: float) -> float:
     """Momentum on the energy-E curve: (E - lam (1 - cos theta)) / (1 + lam sin theta)."""
     nonnegative("lam", lam)
@@ -147,11 +131,18 @@ def critical_angles(lam: float):
     return theta1, -math.pi - theta1
 
 
+def _saddle_scale(lam):
+    """s = sqrt(lam^2 - 1) of the saddles (lam >= 1; unchecked), formed as
+    sqrt(lam - 1) sqrt(lam + 1): nothing overflows for large lam and nothing
+    cancels near lam = 1 (notes/decisions.md, section 20)."""
+    return math.sqrt(lam - 1.0) * math.sqrt(lam + 1.0)
+
+
 def critical_points(params: PhaseParams) -> CriticalPointSet:
     """Saddle pair theta1 = -asin(1/lam), theta2 = asin(1/lam) - pi (lam > 1)."""
     lam = params.lam
     zeno_regime(lam, "critical points require")
-    s = math.sqrt(lam * lam - 1.0)
+    s = _saddle_scale(lam)
     theta1, theta2 = critical_angles(lam)
     return CriticalPointSet(theta1, 1.0 / s, theta2, -1.0 / s, *stability_exponents(params))
 
@@ -163,15 +154,16 @@ def stability_exponents(params: PhaseParams):
     to the p_theta-axis at the second; the expanding one to their partners.
     """
     zeno_regime(params.lam, "stability exponents require")
-    gamma = 2.0 * params.omega_s * math.sqrt(params.lam**2 - 1.0)
+    gamma = 2.0 * params.omega_s * _saddle_scale(params.lam)
     return gamma, -gamma
 
 
 def separatrix_energies(lam: float):
-    """(e_low, e_high) = lam -+ sqrt(lam^2 - 1); their product is 1."""
+    """(e_low, e_high) = lam -+ sqrt(lam^2 - 1); their product is 1, so e_low
+    is taken as 1 / e_high, which does not cancel for large lam."""
     zeno_regime(lam, "separatrices require", inclusive=True)
-    s = math.sqrt(lam * lam - 1.0)
-    return lam - s, lam + s
+    e_high = lam + _saddle_scale(lam)
+    return 1.0 / e_high, e_high
 
 
 @dataclass(frozen=True)
@@ -246,7 +238,7 @@ def _deviation(u0, omega_s, lam, t):
     sign of sin(u0/2), so u needs no unwrapping, and u keeps its relative
     precision as it decays.
     """
-    s = math.sqrt(lam * lam - 1.0)
+    s = _saddle_scale(lam)
     gamma = 2.0 * omega_s * s
     spread = -np.expm1(-gamma * t) / s if s else 2.0 * omega_s * t
     sin0, cos0 = math.sin(0.5 * u0), math.cos(0.5 * u0)
@@ -289,7 +281,7 @@ def integrate_phase_path(
             # a start on theta1 (theta2) stays there and the energy curve is
             # 0/0: dp/dt = rate (p + tan theta_k), rate = gamma (-gamma), and
             # rate tan theta_k = -2 Omega_s
-            rate = 2.0 * omega_s * math.sqrt(lam * lam - 1.0) * (1.0 if u0 == 0.0 else -1.0)
+            rate = 2.0 * omega_s * _saddle_scale(lam) * (1.0 if u0 == 0.0 else -1.0)
             u = np.full(t.shape, u0)
             p = p0 * np.exp(rate * t) - 2.0 * omega_s * (np.expm1(rate * t) / rate if rate else t)
         else:

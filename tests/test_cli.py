@@ -32,6 +32,15 @@ def test_critical_points_command(tmp_path):
     assert sidecar["config"]["lam"] == 1.5
 
 
+def test_critical_points_at_huge_lambda(tmp_path):
+    # lam^2 overflows a float here; the saddle's quantities do not
+    out = tmp_path / "cp.csv"
+    assert main(["critical-points", "--lambda", "1e200", "-o", str(out)]) == 0
+    header, rows = _read_csv(out)
+    assert len(rows) == 2
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
+
+
 def test_transition_time_half_rabi(tmp_path):
     out = tmp_path / "tt.csv"
     assert main(["transition-time", "--lambda", "0", "--omega-s", "0.5", "-o", str(out)]) == 0

@@ -23,6 +23,7 @@ from zenopath import (
     mlp_fixed_point,
     mlp_pieces,
     mlp_rhs,
+    plane_state,
     NonFiniteState,
     PhaseParams,
     PhasePoint,
@@ -261,13 +262,17 @@ def test_mlp_rabi_circle():
     assert np.max(np.abs(traj.states[:, 2] - z_exact)) < 1e-8
 
 
-def test_mlp_fixed_point_consistency():
-    fp = mlp_fixed_point(PARAMS_15)
-    assert np.max(np.abs(mlp_rhs(fp, PARAMS_15))) < 1e-12
-    cps = critical_points(PhaseParams(omega_s=0.5, lam=1.5))
+@pytest.mark.parametrize("lam", [1.01, 1.2, 1.5, 3.0, 100.0])
+def test_mlp_fixed_point_consistency(lam):
+    params = DiffusiveParams.from_lambda(0.5, lam, 100.0)
+    fp = mlp_fixed_point(params)
+    scale = 1.0 + np.max(np.abs(fp.as_array()))
+    assert np.max(np.abs(mlp_rhs(fp, params))) <= 1e-12 * scale
+    assert fp.x == 0.0 and fp.p_x == 0.0
+    cps = critical_points(PhaseParams(omega_s=0.5, lam=lam))
     assert fp.y == pytest.approx(math.sin(cps.theta1), abs=1e-6)
     assert fp.z == pytest.approx(math.cos(cps.theta1), abs=1e-6)
-    assert readout_constraint(fp, PARAMS_15) == 0.0
+    assert readout_constraint(fp, params) == 0.0
     with pytest.raises(NoZenoRegime):
         mlp_fixed_point(DiffusiveParams.from_lambda(0.5, 0.5, 100.0))
 
@@ -578,13 +583,17 @@ def test_mlp_leaving_the_float_range_raises_at_its_time():
 
 
 def test_mlp_stalls_at_its_fixed_point():
-    # every extremal derivative is exactly 0 there, so the minimum speed is 0.0
+    # the fixed point is stationary up to the rounding of the chart, and the
+    # path stays there, so the minimum speed is the flow speed at the start
+    fp = mlp_fixed_point(PARAMS_15)
+    speed = math.sqrt(sum(d * d for d in mlp_rhs(fp, PARAMS_15)))
+    assert speed <= 1e-15
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        integrate_mlp(mlp_fixed_point(PARAMS_15), PARAMS_15, 1e-3, 0.1)
+        integrate_mlp(fp, PARAMS_15, 1e-3, 0.1)
     (stall,) = caught
     assert stall.category is StalledAtFixedPoint
-    assert "fell to 0.000e+00" in str(stall.message)
+    assert f"fell to {speed:.3e}" in str(stall.message)
     assert stall.filename == __file__
 
 
@@ -671,14 +680,6 @@ def test_start_inside_the_bloch_ball_is_rejected():
     assert abs(np.linalg.norm(traj.bloch[1]) - 1.0) <= 1e-15
 
 
-def _plane_state(theta, p_theta):
-    """The chart from the phase plane into x = p_x = 0: y = sin theta,
-    z = cos theta, p_theta = p_y cos theta - p_z sin theta and no radial
-    momentum (y p_y + z p_z = 0)."""
-    s, c = math.sin(theta), math.cos(theta)
-    return ExtendedState(0.0, s, c, 0.0, p_theta * c, -p_theta * s)
-
-
 @pytest.mark.parametrize("lam, theta0, p0", [(0.5, 0.0, 0.3), (1.5, 0.0, 0.3),
                                              (1.5, 2.0, -0.2), (1.2, -3.0, 0.1)])
 def test_mlp_in_the_plane_is_the_phase_path(lam, theta0, p0):
@@ -690,7 +691,7 @@ def test_mlp_in_the_plane_is_the_phase_path(lam, theta0, p0):
     dt, t_end = 1e-3, 6.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StalledAtFixedPoint)
-        mlp = integrate_mlp(_plane_state(theta0, p0), params, dt, t_end)
+        mlp = integrate_mlp(plane_state(PhasePoint(theta0, p0), 0.0), params, dt, t_end)
         phase = integrate_phase_path(PhasePoint(theta0, p0), PhaseParams(0.5, lam), t_end, dt)
     x, y, z, px, py, pz = mlp.states.T
     assert np.all(x == 0.0) and np.all(px == 0.0) and np.all(mlp.readout == 0.0)
@@ -706,6 +707,18 @@ def test_stochastic_hamiltonian_is_phase_hamiltonian_through_the_chart():
     for _ in range(200):
         lam, theta, p_theta = rng.uniform(0.0, 3.0), rng.uniform(-4.0, 4.0), rng.uniform(-3.0, 3.0)
         params = DiffusiveParams.from_lambda(0.5, lam, tau=100.0)
-        h = stochastic_hamiltonian(_plane_state(theta, p_theta), params)
+        h = stochastic_hamiltonian(plane_state(PhasePoint(theta, p_theta), 0.0), params)
         h_phase = phase_hamiltonian(theta, p_theta, 0.5, lam)
         assert abs(h - h_phase) <= 1e-13 * (1.0 + abs(h_phase))
+
+
+def test_plane_state_momenta_are_p_theta_and_p_r():
+    # the inverse chart: p_theta = z p_y - y p_z along the circle and
+    # p_r = y p_y + z p_z along r
+    rng = np.random.default_rng(23)
+    for theta, p_theta, p_r in rng.uniform(-4.0, 4.0, (200, 3)).tolist():
+        s = plane_state(PhasePoint(theta, p_theta), p_r)
+        assert (s.x, s.p_x, s.y, s.z) == (0.0, 0.0, math.sin(theta), math.cos(theta))
+        scale = 1e-15 * (1.0 + abs(p_theta) + abs(p_r))
+        assert abs(s.z * s.p_y - s.y * s.p_z - p_theta) <= scale
+        assert abs(s.y * s.p_y + s.z * s.p_z - p_r) <= scale

@@ -1,10 +1,11 @@
 """The kernels against their pointwise formulas and references.
 
-``mlp_rk4`` fuses :func:`_kernels.mlp_rhs` into one closure with its
-constant products hoisted.  Here classic RK4 is stepped through the
-pointwise function itself, and the kernel must give the same bytes.  The
-steps are coarse (dt 5e-3 to 1e-2): at dt = 1e-3 a one-ulp change in a stage
-is scaled by dt / 6 and mostly rounds away, so a regrouped sum could go
+``mlp_rk4`` steps :func:`_kernels.mlp_stage`, the one definition of the
+extremal equations.  Here classic RK4 is stepped through the stage, and the
+kernel and its callers must give the same bytes; the stage's first three
+components must be :func:`_kernels.bloch_drift`'s bytes.  The steps are
+coarse (dt 5e-3 to 1e-2): at dt = 1e-3 a one-ulp change in a stage is
+scaled by dt / 6 and mostly rounds away, so a regrouped sum could go
 unseen.  The diffusive walk steps the exact linear map of psi instead of the
 drift: its closed-form matrix is checked against ``scipy.linalg.expm``, and
 its path against classic RK4 through :func:`_kernels.bloch_drift` plus the
@@ -115,6 +116,20 @@ def test_exact_phase_path_matches_rk4_through_phase_rhs(lam, theta0, p0):
     assert np.max(np.abs(path.p_theta - p) / np.maximum(1.0, np.abs(p))) <= 1e-9
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.5])
+def test_mlp_stage_coordinates_are_bloch_drift_byte_for_byte(lam):
+    # the extremal flow moves the coordinates by the conditioned drift, with
+    # the rotation w = alpha (y p_x - x p_y) that the readout constraint pins
+    omega_s, alpha = 0.5, 4.0 * 0.5 * lam
+    stage = _kernels.mlp_stage(omega_s, alpha)
+    rng = np.random.default_rng(41)
+    points = rng.uniform(-2.0, 2.0, (6, 200))
+    scalars = [tuple(p) for p in points.T.tolist()]
+    for x, y, z, px, py, pz in [*scalars, tuple(points), (-0.0, 0.0, 1.0, 0.0, -0.0, 0.0)]:
+        drift = _kernels.bloch_drift(x, y, z, omega_s, alpha, alpha * (y * px - x * py))
+        assert np.array(stage(x, y, z, px, py, pz)[:3]).tobytes() == np.array(drift).tobytes()
+
+
 MLP_STARTS = [(0.0, 0.0, 1.0, 0.0, 0.0, 0.0), (-0.0, 0.1, 0.99, 0.2, -0.0, 0.1),
               (0.3, -0.4, 0.5, 1.0, 2.0, -3.0), (0.6, 0.0, -0.8, -1.5, 0.7, 2.5)]
 
@@ -125,7 +140,7 @@ def test_mlp_kernel_equals_rk4_through_mlp_rhs_byte_for_byte(lam, s0):
     params = DiffusiveParams.from_lambda(0.5, lam, tau=100.0)
     dt = 5e-3
     ref, ref_speed = _rk4_reference(
-        lambda *s: _kernels.mlp_rhs(*s, params.omega_s, params.alpha), s0, dt, N_STEPS)
+        _kernels.mlp_stage(params.omega_s, params.alpha), s0, dt, N_STEPS)
     path, min_speed = _kernels.mlp_rk4(np.array(s0), params.omega_s, params.alpha, dt, N_STEPS)
     assert path.tobytes() == ref.tobytes()
     assert min_speed.hex() == ref_speed.hex()

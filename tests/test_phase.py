@@ -14,7 +14,6 @@ from zenopath import (
     cdj_hamiltonian,
     critical_points,
     energy_level,
-    hamilton_jacobian,
     hamilton_rhs,
     integrate_phase_path,
     p_theta_curve,
@@ -22,10 +21,21 @@ from zenopath import (
     stability_exponents,
     stable_angle,
     transition_time_sub_zeno,
-    wrap_angle,
 )
 
 P15 = PhaseParams(omega_s=0.5, lam=1.5)
+
+
+def hamilton_jacobian(p: PhasePoint, params: PhaseParams) -> np.ndarray:
+    """Analytic 2x2 Jacobian of :func:`hamilton_rhs` at a phase point: the
+    reference of the two stability tests."""
+    w = 2.0 * params.omega_s * params.lam
+    return np.array(
+        [
+            [-w * math.cos(p.theta), 0.0],
+            [w * (-p.p_theta * math.sin(p.theta) + math.cos(p.theta)), w * math.cos(p.theta)],
+        ]
+    )
 
 
 def test_hamiltonian_trivials():
@@ -197,9 +207,12 @@ def test_separatrix_energies():
     lo, hi = separatrix_energies(1.5)
     assert lo == pytest.approx(0.381966011, abs=1e-9)
     assert hi == pytest.approx(2.618033989, abs=1e-9)
-    for lam in np.linspace(1.0, 4.0, 20):
-        lo, hi = separatrix_energies(float(lam))
-        assert lo * hi == pytest.approx(1.0, abs=1e-12)
+    # large lam: lam - sqrt(lam^2 - 1) cancelled to 0 at 1e8 and lam^2
+    # overflowed at 1e200
+    for lam in [*np.linspace(1.0, 4.0, 20).tolist(), 1e8, 1e200]:
+        lo, hi = separatrix_energies(lam)
+        assert lo > 0.0
+        assert abs(lo * hi - 1.0) <= 1e-12
 
 
 def test_integrate_lam_zero_exact():
@@ -269,12 +282,6 @@ def test_stall_warning_at_fixed_point():
     cps = critical_points(P15)
     with pytest.warns(StalledAtFixedPoint):
         integrate_phase_path(cps.p1, P15, t_end=0.5)
-
-
-def test_wrap_angle():
-    assert wrap_angle(3 * math.pi) == pytest.approx(-math.pi)
-    assert wrap_angle(-0.3) == pytest.approx(-0.3)
-    assert abs(wrap_angle(2 * math.pi)) < 1e-15
 
 
 @pytest.mark.parametrize("dt, t_end", [(0.0, 1.0), (-1e-3, 1.0), (1e-3, 0.0), (1e-3, -1.0)])
