@@ -1,23 +1,23 @@
 """Per-step loops, the formulas they step and the time grid, stall check and
-finite-path check of their integrators, in plain Python.
+finite-path check of their integrators.
 
-Every loop runs on builtin floats: arithmetic on numpy scalars costs several
-times as much per operation and gives the same IEEE results
-(notes/decisions.md, section 5).  The one exception is
-:func:`diffusive_walk_batch`, which steps a whole ensemble as one stacked
-(4, n) numpy array, each step through buffers made once per call (section 6).
-``perfbench/`` times each scalar kernel.
+The loops of :func:`zeno_walk` and :func:`mlp_rk4` run on builtin floats:
+arithmetic on numpy scalars costs several times as much per operation and
+gives the same IEEE results (notes/decisions.md, section 5).  They store
+each row through a flat ``memoryview`` of the output array, which costs
+about half as much as numpy's element writes.  :func:`diffusive_walk` steps
+n states at once in numpy, in groups of steps: the product of each group's
+step maps, one pass over the group starts, then the rows inside every group
+from its start (sections 6 and 21).  ``perfbench/`` times each kernel.
 
 :func:`mlp_rk4` steps :func:`mlp_stage`, the one definition of the
 extremal equations, whose first three components are pinned to
 :func:`bloch_drift` byte for byte (``tests/test_kernels.py``).  The
-diffusive walks step no drift: they apply the exact linear map of the state
-vector (:func:`null_step_map`, section 19), and the batch is pinned column
-by column to :func:`diffusive_walk` (``tests/test_diffusive.py``).  The
-scalar loops store each row through a flat ``memoryview`` of the output
-array, which costs about half as much as numpy's element writes.  The phase
-path has no loop: ``phase.integrate_phase_path`` evaluates it in closed
-form.
+diffusive walk steps no drift: it applies the exact linear map of the state
+vector (:func:`null_step_map`, section 19), and each of its columns is
+pinned byte for byte to the one-state call (``tests/test_diffusive.py``).
+The phase path has no loop: ``phase.integrate_phase_path`` evaluates it in
+closed form.
 """
 
 import warnings
@@ -36,6 +36,10 @@ STALL_SPEED = 1e-10
 TRACE_FLOOR = 1e-15
 #: The most float64 samples one numpy array can hold: its size in bytes must fit an intp.
 MAX_SAMPLES = np.iinfo(np.intp).max // 8
+#: The most steps that :func:`diffusive_walk` takes as one product: a power of two.
+GROUP_STEPS = 32
+#: A group's product of step maps may remove at most exp(-GROUP_DECAY) of |psi|^2.
+GROUP_DECAY = 500.0
 
 
 def step_count(dt, t_end):
@@ -168,99 +172,169 @@ def psi_from_bloch(x, y, z):
 
 def bloch_rows(psi):
     """Bloch rows (x, y, z) of unit psi rows (re u, im u, re v, im v) on axis 1:
-    (rows, 3) of the scalar walk's (rows, 4), (rows, 3, n) of the batch's (rows, 4, n)."""
+    (rows, 3) of (rows, 4), (rows, 3, n) of the walk's (rows, 4, n).  Each
+    coordinate is formed in two scratch row blocks and its last operation
+    writes it into the one new array."""
     ur, ui, vr, vi = (psi[:, j] for j in range(4))
-    return np.stack((2.0 * (ui * vr - ur * vi), 2.0 * (ur * vr + ui * vi),
-                     (ur * ur + ui * ui) - (vr * vr + vi * vi)), axis=1)
+    out = np.empty((psi.shape[0], 3, *psi.shape[2:]))
+    x, y, z = (out[:, j] for j in range(3))
+    a, b = np.empty((2, *x.shape))
+    mul, add, sub = np.multiply, np.add, np.subtract
+    # z = (ur ur + ui ui) - (vr vr + vi vi)
+    mul(ur, ur, a)
+    mul(ui, ui, b)
+    add(a, b, a)
+    mul(vr, vr, b)
+    mul(vi, vi, z)
+    add(b, z, b)
+    sub(a, b, z)
+    # x = 2 (ui vr - ur vi), y = 2 (ur vr + ui vi)
+    mul(ui, vr, a)
+    mul(ur, vi, b)
+    sub(a, b, a)
+    mul(a, 2.0, x)
+    mul(ur, vr, a)
+    mul(ui, vi, b)
+    add(a, b, a)
+    mul(a, 2.0, y)
+    return out
 
 
-def diffusive_walk(x, y, z, omega_s, alpha, dt, dw):
-    """Conditioned Bloch-vector sampling as the linear step of psi = (u, i v).
-
-    A step applies :func:`null_step_map` to the real and the imaginary parts
-    of (u, v), the readout's phase v <- exp(-i sqrt(alpha) dW) v (a rotation
-    about z by sqrt(alpha) dW) and one renormalization.  Returns the Bloch
-    rows (n_steps + 1, 3), row 0 being (x, y, z) as given, and each row's
-    survival log-weight, the sum of the log |psi|^2 renormalized away (section 19).
-    """
-    e00, e01, e10, e11 = null_step_map(omega_s, alpha, dt)
-    psi = np.empty((dw.shape[0] + 1, 4))
-    log_weight = np.empty(dw.shape[0] + 1)
-    ur, ui, vr, vi = psi[0] = psi_from_bloch(x, y, z)
-    buf = memoryview(psi).cast("B").cast("d")
-    norms = memoryview(log_weight).cast("B").cast("d")
-    i = 4
-    angle = sqrt(alpha) * dw
-    for k, c, s in zip(range(1, len(log_weight)), np.cos(angle).tolist(), np.sin(angle).tolist()):
-        pr = e00 * ur + e01 * vr
-        qr = e10 * ur + e11 * vr
-        pi = e00 * ui + e01 * vi
-        qi = e10 * ui + e11 * vi
-        vr = c * qr + s * qi
-        vi = c * qi - s * qr
-        n2 = (pr * pr + vr * vr) + (pi * pi + vi * vi)
-        norm = sqrt(n2)
-        buf[i] = ur = pr / norm
-        buf[i + 1] = ui = pi / norm
-        buf[i + 2] = vr = vr / norm
-        buf[i + 3] = vi = vi / norm
-        norms[k] = n2
-        i += 4
-    out = bloch_rows(psi)
-    out[0] = x, y, z
-    return out, _log_weight_rows(log_weight, 0.0)
+def group_steps(alpha, dt):
+    """Steps per group of :func:`diffusive_walk`: the largest power of two
+    s <= GROUP_STEPS with s alpha dt <= GROUP_DECAY, or 1 (notes/decisions.md,
+    section 21).  A step map has |det| = exp(-alpha dt/2) and norm <= 1, so it
+    keeps |psi|^2 above exp(-alpha dt) |psi|^2, and a group's product keeps it
+    above exp(-GROUP_DECAY): far from underflow."""
+    s = GROUP_STEPS
+    while s > 1 and s * alpha * dt > GROUP_DECAY:
+        s //= 2
+    return s
 
 
-def _log_weight_rows(rows, start):
-    """|psi|^2 rows 1.. -> running log-weight from ``start``, in place (contiguous rows: equal bytes)."""
-    np.log(rows[1:], rows[1:])
-    rows[0] = start
-    return np.cumsum(rows, axis=0, out=rows)
+def _apply_steps(x, col0, col1, cos, sin, t1, t2):
+    """x <- M x in place, M = diag(1, exp(-i theta)) E, for a stack of groups:
+    x (2, k, 2, groups, n) holds the rows (u, v) of k columns as (re, im);
+    col0 = (e00, e10) and col1 = (e01, e11) shaped (2, 1, 1, 1, 1); cos
+    (groups, n) and sin (2, groups, n) hold cos theta and (sin theta,
+    -sin theta); t1 and t2 are scratch of x's shape.  No call writes an
+    operand it broadcasts against, which numpy would buffer."""
+    np.multiply(col0, x[:1], t1)
+    np.multiply(col1, x[1:], t2)
+    np.add(t1, t2, x)
+    # v <- exp(-i theta) v: (re, im) <- cos (re, im) + (sin im, -sin re)
+    v = x[1]
+    np.multiply(sin, v[:, ::-1], t1[1])
+    np.multiply(cos, v, t2[1])
+    np.add(t2[1], t1[1], v)
 
 
-def diffusive_walk_batch(psi, log_weight, omega_s, alpha, dt, dw):
-    """:func:`diffusive_walk` for n states at once, carried as psi.
+def diffusive_walk(psi, log_weight, omega_s, alpha, dt, dw):
+    """Conditioned sampling of n states as the linear step of psi = (u, i v).
 
     psi (4, n) holds rows (re u, im u, re v, im v), log_weight is (n,) and dw
-    (n_steps, n), column j driving state j.  Returns the psi rows (n_steps + 1,
-    4, n) and log-weight rows (n_steps + 1, n), row 0 being the inputs, which
-    are only read.  Each element sees the operations of :func:`diffusive_walk`
-    in its order, so every column is bit-identical to its scalar walk.  A step
-    makes 17 numpy calls, each into a buffer made once per call, with 0-d constants.
+    (n_steps, n), column j driving state j.  Step k maps psi by
+    M_k = diag(1, exp(-i sqrt(alpha) dW_k)) E, E = :func:`null_step_map`: E on
+    the real and the imaginary parts of (u, v), then the readout's phase of v
+    (a rotation about z by sqrt(alpha) dW_k).  Returns the unit psi rows
+    (n_steps + 1, 4, n) and the log-weight rows (n_steps + 1, n), the running
+    log of the |psi|^2 renormalized away (section 19); row 0 holds the inputs,
+    which are only read.
+
+    The steps are taken in groups of s = :func:`group_steps` (section 21):
+    (1) each whole group's product of its s maps, for all groups at once;
+    (2) a pass over the group starts in order, each one product, one
+    renormalization and one log-weight increment; (3) the rows inside every
+    group stepped from its start, for all groups at once, and written
+    renormalized into the output.  Only float64 ``+ - * /``, sqrt, and numpy's
+    cos, sin and log act on an element, so a column's bytes do not depend on
+    n; groups start at step 0 of the call, so a call that starts on a group
+    boundary of another continues it byte for byte.
     """
     n_steps, n = dw.shape
-    out = np.empty((n_steps + 1, 4, n))
+    s = group_steps(alpha, dt)
+    whole, tail = divmod(n_steps, s)
+    groups = whole + (tail > 0)
+    # the last group is padded to s steps by dW = 0; its rows past n_steps are dropped
+    length = groups * s
+    out = np.empty((length + 1, 4, n))
+    lw = np.empty((length + 1, n))
     out[0] = psi
-    lw = np.empty((n_steps + 1, n))
-    angle = sqrt(alpha) * dw
-    e00, e01, e10, e11 = (np.array(e) for e in null_step_map(omega_s, alpha, dt))
-    w, sq = np.empty((2, 4, n))  # w = (pr, pi, vr, vi): the step before renormalizing
-    q, t = np.empty((2, 2, n))  # q = (qr, qi): v before the readout's phase
-    norm = np.empty(n)
-    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-    (p, vr, vi), (qr, qi), (t0, t1), sq_lo, sq_hi = (w[:2], w[2], w[3]), q, t, sq[:2], sq[2:]
-    for c, sn, u, v, n2, nxt in zip(np.cos(angle), np.sin(angle), out[:, :2], out[:, 2:],
-                                    lw[1:], out[1:]):
-        mul(e00, u, p)
-        mul(e01, v, t)
-        add(p, t, p)
-        mul(e10, u, q)
-        mul(e11, v, t)
-        add(q, t, q)
-        # vr <- c qr + sn qi, vi <- c qi - sn qr
-        mul(sn, qi, t0)
-        mul(sn, qr, t1)
-        mul(c, qr, vr)
-        add(vr, t0, vr)
-        mul(c, qi, vi)
-        sub(vi, t1, vi)
-        # |psi|^2 = (pr pr + vr vr) + (pi pi + vi vi)
-        mul(w, w, sq)
-        add(sq_lo, sq_hi, t)
-        add(t0, t1, n2)
-        np.sqrt(n2, norm)
-        div(w, norm, nxt)
-    return out, _log_weight_rows(lw, log_weight)
+    # the phase of step g s + j at [j, g]: each step's groups are contiguous
+    angle = np.zeros((s, groups, n))
+    root = sqrt(alpha)
+    np.multiply(root, dw[:whole * s].reshape(whole, s, n), angle[:, :whole].swapaxes(0, 1))
+    if tail:
+        np.multiply(root, dw[whole * s:], angle[:tail, whole])
+    sin = np.empty((2, s, groups, n))
+    np.sin(angle, sin[0])
+    np.negative(sin[0], sin[1])
+    cos = np.cos(angle, angle)
+    e00, e01, e10, e11 = null_step_map(omega_s, alpha, dt)
+    col0 = np.array([e00, e10]).reshape(2, 1, 1, 1, 1)
+    col1 = np.array([e01, e11]).reshape(2, 1, 1, 1, 1)
+
+    # (1) P = M_{s-1} ... M_0 of each whole group, from the identity, as
+    # rows x columns x (re, im)
+    prod = np.zeros((2, 2, 2, whole, n))
+    prod[0, 0, 0] = prod[1, 1, 0] = 1.0
+    t1, t2 = np.empty((2, *prod.shape))
+    for j in range(s):
+        _apply_steps(prod, col0, col1, cos[j, :whole], sin[:, j, :whole], t1, t2)
+
+    # (2) the group starts: psi <- P psi / |P psi|.  P acts on the real
+    # vector psi_b = (re u, im u, re v, im v) as a 4 x 4 matrix Q[a, b], held
+    # as q[g, k, i, a] for b = 2 i + k: a column's real or imaginary part
+    q = np.empty((whole, 2, 2, 2, 2, n))  # (re, im) of b, columns, rows, (re, im) of a
+    re, im = prod[:, :, 0].transpose(2, 1, 0, 3), prod[:, :, 1].transpose(2, 1, 0, 3)
+    q[:, 0, :, :, 0] = re
+    q[:, 0, :, :, 1] = im
+    np.negative(im, q[:, 1, :, :, 0])
+    q[:, 1, :, :, 1] = re
+    q = q.reshape(whole, 2, 2, 4, n)
+    starts = out[::s]
+    columns = starts.reshape(-1, 2, 2, 1, n).swapaxes(1, 2)  # psi_b at [k, i]
+    terms = np.empty((2, 2, 4, n))  # Q[a, b] psi_b at [k, i, a]
+    half = np.empty((2, 4, n))
+    y, sq = np.empty((2, 4, n))
+    pair, norm = np.empty((2, n)), np.empty(n)
+    n2 = np.empty((whole + 1, n))  # the log-weight's increments in rows 1..
+    for qg, x, nxt, n2g in zip(q, columns, starts[1:], n2[1:]):
+        np.multiply(qg, x, terms)
+        np.add(terms[0], terms[1], half)
+        np.add(half[0], half[1], y)
+        # |psi|^2 = (ur ur + vr vr) + (ui ui + vi vi)
+        np.multiply(y, y, sq)
+        np.add(sq[:2], sq[2:], pair)
+        np.add(pair[0], pair[1], n2g)
+        np.sqrt(n2g, norm)
+        np.divide(y, norm, nxt)
+    # the running log-weight of the starts: cumsum adds in sequence from the carried one
+    np.log(n2[1:], n2[1:])
+    n2[0] = log_weight
+    lw[::s][:whole + 1] = np.cumsum(n2, axis=0, out=n2)
+    del prod, q, t1, t2
+
+    # (3) the rows inside the groups, stepped from each group's start; their
+    # |psi|^2 goes into their log-weight rows, then its log and the start's
+    rows = out[:length].reshape(groups, s, 4, n).transpose(1, 2, 0, 3)
+    lw_rows = lw[:length].reshape(groups, s, n)
+    inner = lw_rows[:, 1:]
+    x = rows[0].reshape(2, 1, 2, groups, n).copy()
+    t1, t2, sq = np.empty((3, *x.shape))
+    pair = np.empty(x[1].shape)
+    norm = np.empty((groups, n))
+    for j in range(1, s):
+        _apply_steps(x, col0, col1, cos[j - 1], sin[:, j - 1], t1, t2)
+        # |psi|^2 = (ur ur + vr vr) + (ui ui + vi vi)
+        np.multiply(x, x, sq)
+        np.add(sq[0], sq[1], pair)
+        np.add(pair[0, 0], pair[0, 1], inner[:, j - 1])
+        np.sqrt(inner[:, j - 1], norm)
+        np.divide(x, norm, rows[j].reshape(x.shape))
+    np.log(inner, inner)
+    np.add(lw_rows[:, :1], inner, inner)
+    return out[:n_steps + 1], lw[:n_steps + 1]
 
 
 def mlp_stage(omega_s, alpha):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from ._csv import float_rows, json_rows
-from .errors import CurveSingularity, ZenoPathError
+from .errors import CurveSingularity, NonFiniteState, ZenoPathError
 from .measurement import BlochState
 from .phase import (PhaseParams, critical_points, energy_level, p_theta_curve,
                     separatrix_energies)
@@ -236,6 +236,9 @@ def _cmd_critical_points(args):
         ("P1", cps.theta1, cps.p_theta1, minus, plus, e1, e_low, e_high),
         ("P2", cps.theta2, cps.p_theta2, plus, minus, e2, e_low, e_high),
     ]
+    if not all(math.isfinite(v) for row in rows for v in row[1:]):
+        raise NonFiniteState(f"the saddles' exponents or energies overflow at lam = {args.lam!r}, "
+                             f"omega_s = {args.omega_s!r}")
     return [
         "point",
         "theta_rad",

@@ -13,8 +13,11 @@ whose readout also kicks the phase of |1>: the r terms rotate the state about
 the z-axis by the angle sqrt(alpha) dW.  Trajectory sampling draws dW as
 symmetric +-sqrt(dt) steps by default (a Gaussian option is provided; both
 converge to the same diffusion).  The drift is the normalized image of a
-linear flow of psi = (u, i v), so a step applies its exact real 2x2 map, the
-readout's phase of v and a renormalization (notes/decisions.md, section 19).
+linear flow of psi = (u, i v), so a step is its exact real 2x2 map and the
+readout's phase of v (notes/decisions.md, section 19), and the walk takes
+the steps' maps a group at a time: each group's product and one
+renormalization per group, then the rows inside it from its start (section
+21).
 A record has no click with probability exp(-int alpha (1 - z)/2 dt), the
 product of the norms removed; ensembles weight their paths by it.
 
@@ -38,8 +41,9 @@ from .errors import InvalidState, StepTooLarge, WeakCouplingWarning, nonnegative
 from .measurement import _BLOCH_NORM_TOL, BlochState
 from .phase import PhaseParams, PhasePoint, critical_points
 
-#: Time steps per block of the batched ensemble; a block of n trajectories
-#: holds about 100 n _BLOCK_STEPS bytes (notes/decisions.md, section 6).
+#: Time steps per block of the batched ensemble, a multiple of the walk's
+#: longest group (_kernels.GROUP_STEPS); a block of n trajectories holds
+#: about 100 n _BLOCK_STEPS bytes (notes/decisions.md, sections 6 and 21).
 _BLOCK_STEPS = 512
 
 
@@ -133,8 +137,8 @@ class DiffusiveTrajectory:
     """Sampled conditioned trajectory: times, Bloch rows (x, y, z), the readout
     r_k = sqrt(tau) dW_k / dt of the step from t_k (the last is not walked)
     and the log-probability that the record held no click up to t_k (at
-    alpha = 0 it is 0 up to rounding, which adds about 4e-12 over 20 000
-    steps: notes/decisions.md, section 19)."""
+    alpha = 0 it is 0 up to rounding, which adds about 2e-12 over 20 000
+    steps: notes/decisions.md, sections 19 and 21)."""
 
     t: np.ndarray
     bloch: np.ndarray
@@ -184,11 +188,14 @@ def sample_trajectory(
     window).  Deterministic given (seed, dt, gaussian).
     """
     n_steps, t = _sampling_steps(params, dt, t_end)
-    _pure_start(b0)
+    psi = np.array(_pure_start(b0))[:, None]
     dw = wiener_increments(seed, dt, n_steps + 1, gaussian)  # one readout per row of the path
-    path, log_weight = _kernels.diffusive_walk(
-        b0.x, b0.y, b0.z, params.omega_s, params.alpha, dt, dw[:-1]
+    psi_rows, log_weight = _kernels.diffusive_walk(
+        psi, np.zeros(1), params.omega_s, params.alpha, dt, dw[:-1, None]
     )
+    path = _kernels.bloch_rows(psi_rows)[:, :, 0]
+    path[0] = b0.x, b0.y, b0.z  # the start exactly as given
+    log_weight = log_weight[:, 0]
     readout = math.sqrt(params.tau) * dw / dt
     return DiffusiveTrajectory(t=t, bloch=path, readout=readout, log_weight=log_weight)
 
@@ -333,10 +340,11 @@ def ensemble_stats(
 
     Trajectory k uses seed ``base_seed + k``, so n = 1 reproduces
     :func:`sample_trajectory` with (``base_seed``, ``gaussian``) exactly.  All n
-    trajectories are stepped together, in blocks of ``_BLOCK_STEPS`` time
-    steps, with the arithmetic of the single sampler and one generator per
-    trajectory, and each block is reduced over them in one weighted pass
-    (notes/decisions.md, section 6); only one block is held at once.  Same
+    trajectories are stepped together by the single sampler's kernel, in
+    blocks of ``_BLOCK_STEPS`` time steps, each a whole number of the
+    kernel's groups, with one generator per trajectory, and each block is
+    reduced over them in one weighted pass (notes/decisions.md, sections 6
+    and 21); only one block is held at once.  Same
     checks and warning as :func:`sample_trajectory`.
     """
     if n < 1:
@@ -349,10 +357,11 @@ def ensemble_stats(
     psi, lw0 = np.array(_pure_start(b0))[:, None].repeat(n, axis=1), np.zeros(n)
     for start in range(0, n_steps, _BLOCK_STEPS):
         size = min(_BLOCK_STEPS, n_steps - start)
-        psi_rows, lw = _kernels.diffusive_walk_batch(
-            psi, lw0, params.omega_s, params.alpha, dt,
-            np.array([_draw(rng, dt, size, gaussian) for rng in rngs]).T,
-        )
+        dw = np.empty((size, n))  # the block's increments, trajectory k in column k
+        for k, rng in enumerate(rngs):
+            dw[:, k] = _draw(rng, dt, size, gaussian)
+        psi_rows, lw = _kernels.diffusive_walk(psi, lw0, params.omega_s, params.alpha, dt, dw)
+        del dw
         psi, lw0 = psi_rows[-1].copy(), lw[-1].copy()
         dev = _kernels.bloch_rows(psi_rows)  # (size + 1, 3, n)
         del psi_rows

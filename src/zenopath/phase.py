@@ -160,9 +160,12 @@ def stability_exponents(params: PhaseParams):
 
 def separatrix_energies(lam: float):
     """(e_low, e_high) = lam -+ sqrt(lam^2 - 1); their product is 1, so e_low
-    is taken as 1 / e_high, which does not cancel for large lam."""
+    is taken as 1 / e_high, which does not cancel for large lam.  Raises
+    NonFiniteState where e_high overflows (lam above about 9e307)."""
     zeno_regime(lam, "separatrices require", inclusive=True)
     e_high = lam + _saddle_scale(lam)
+    if e_high == math.inf:
+        raise NonFiniteState(f"the separatrix energy lam + sqrt(lam^2 - 1) overflows at lam = {lam!r}")
     return 1.0 / e_high, e_high
 
 

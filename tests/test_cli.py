@@ -41,6 +41,26 @@ def test_critical_points_at_huge_lambda(tmp_path):
     assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
 
 
+@pytest.mark.parametrize("argv", [["--lambda", "1e308"], ["--lambda", "1e307", "--omega-s", "1e10"]],
+                         ids=["separatrix", "exponents"])
+def test_critical_points_overflow_is_named_and_writes_nothing(tmp_path, argv, capsys):
+    # lam + sqrt(lam^2 - 1) overflows above about 9e307, and 2 Omega_s
+    # sqrt(lam^2 - 1) where Omega_s lam does; a strict JSON parser rejects the
+    # Infinity cells either would write
+    out = tmp_path / "cp.json"
+    assert main(["critical-points", *argv, "--format", "json", "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "error[NonFiniteState]" in err and f"lam = {float(argv[1])!r}" in err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["critical-points", "--lambda", "1e200", "--format", "json", "-o", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON (RFC 8259)")
+
+    rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
+    assert all(math.isfinite(cell) for row in rows for cell in row[1:])
+
+
 def test_transition_time_half_rabi(tmp_path):
     out = tmp_path / "tt.csv"
     assert main(["transition-time", "--lambda", "0", "--omega-s", "0.5", "-o", str(out)]) == 0
@@ -349,9 +369,11 @@ def test_trajectory_json_is_strict_with_one_readout_per_row(tmp_path):
     rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
     n, dt = 1000, 1e-3
     params = DiffusiveParams.from_lambda(0.5, 1.5, tau=100.0)
-    bloch, _ = _kernels.diffusive_walk(
-        0.0, 0.0, 1.0, params.omega_s, params.alpha, dt, wiener_increments(5, dt, n)
-    )
+    psi = np.array(_kernels.psi_from_bloch(0.0, 0.0, 1.0))[:, None]
+    psi_rows, _ = _kernels.diffusive_walk(psi, np.zeros(1), params.omega_s, params.alpha, dt,
+                                          wiener_increments(5, dt, n)[:, None])
+    bloch = _kernels.bloch_rows(psi_rows)[:, :, 0]
+    bloch[0] = 0.0, 0.0, 1.0
     readout = math.sqrt(100.0) * wiener_increments(5, dt, n + 1) / dt
     assert rows == np.column_stack((np.arange(n + 1) * dt, bloch, readout)).tolist()
 

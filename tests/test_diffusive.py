@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -333,17 +334,19 @@ def _ensemble_reference(b0, params, dt, t_end, n, base_seed, gaussian):
     return ref + shift, np.einsum("rn,rcn->rc", w, dev) / total
 
 
-@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("groups", [None, 7])
 @pytest.mark.parametrize(
     "params, gaussian",
     [(PARAMS_15, False), (PARAMS_15, True), (DiffusiveParams(0.5, 0.0, 100.0), False)],
     ids=["lam1.5-binary", "lam1.5-gaussian", "alpha0"],
 )
-def test_ensemble_batch_equals_per_seed_reference(monkeypatch, params, gaussian, block):
-    # 2500 steps cross several block boundaries and end on a partial block
-    if block is not None:
-        monkeypatch.setattr(diffusive, "_BLOCK_STEPS", block)
-    assert 2500 % diffusive._BLOCK_STEPS != 0
+def test_ensemble_batch_equals_per_seed_reference(monkeypatch, params, gaussian, groups):
+    # 2500 steps cross several block boundaries and end on a partial block;
+    # a block is a whole number of the kernel's groups (512 steps, or 7 groups)
+    if groups is not None:
+        monkeypatch.setattr(diffusive, "_BLOCK_STEPS", groups * _kernels.GROUP_STEPS)
+    assert diffusive._BLOCK_STEPS % _kernels.GROUP_STEPS == 0
+    assert 2500 % diffusive._BLOCK_STEPS != 0 and 2500 // diffusive._BLOCK_STEPS >= 4
     b0, dt, t_end, n, seed = BlochState(0.0, 0.6, 0.8), 1e-3, 2.5, 4, 31
     stats = ensemble_stats(b0, params, dt, t_end, n, seed, gaussian=gaussian)
     mean, var = _ensemble_reference(b0, params, dt, t_end, n, seed, gaussian)
@@ -398,12 +401,12 @@ def test_ensemble_weights_wider_than_the_float_range():
 
 
 def _batch_walk(starts, omega_s, alpha, dt, dw, log_weight=None):
-    """The batch kernel from Bloch starts, as the scalar walk returns them:
-    Bloch rows (steps + 1, 3, n), row 0 the starts as given, and log-weights."""
+    """The kernel from Bloch starts: Bloch rows (steps + 1, 3, n), row 0 the
+    starts as given, and log-weights."""
     psi = np.array([_kernels.psi_from_bloch(*start) for start in starts]).T
     if log_weight is None:
         log_weight = np.zeros(len(starts))
-    psi_rows, lw = _kernels.diffusive_walk_batch(psi, log_weight, omega_s, alpha, dt, dw)
+    psi_rows, lw = _kernels.diffusive_walk(psi, log_weight, omega_s, alpha, dt, dw)
     bloch = _kernels.bloch_rows(psi_rows)
     bloch[0] = np.array(starts).T
     return bloch, lw
@@ -412,8 +415,10 @@ def _batch_walk(starts, omega_s, alpha, dt, dw, log_weight=None):
 @pytest.mark.parametrize("gaussian", [False, True], ids=["binary", "gaussian"])
 @pytest.mark.parametrize("lam", [0.0, 1.5])
 def test_batch_kernel_columns_equal_scalar_walk_byte_for_byte(lam, gaussian):
-    # signed zeros included: the starts put -0.0 in x or y, at both poles.
-    # At dt 1e-3 a one-ulp change in a step mostly rounds away; dt 1e-2 shows it.
+    # each column of a 3-state call against the one-state call on its column.
+    # Signed zeros included: the starts put -0.0 in x or y, at both poles.
+    # 700 steps are 21 whole groups and a partial one; dt 1e-2 makes a
+    # one-ulp change in a step show where dt 1e-3 mostly rounds it away.
     starts = [(0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, -1.0)]
     omega_s, n_steps = 0.5, 700
     alpha = 4.0 * omega_s * lam
@@ -426,21 +431,41 @@ def test_batch_kernel_columns_equal_scalar_walk_byte_for_byte(lam, gaussian):
         assert block.shape == (n_steps + 1, 3, len(starts))
         assert lw.shape == (n_steps + 1, len(starts))
         for j, start in enumerate(starts):
-            walk, walk_lw = _kernels.diffusive_walk(*start, omega_s, alpha, dt, dw[:, j])
-            assert block[:, :, j].tobytes() == walk.tobytes()
-            assert lw[:, j].tobytes() == walk_lw.tobytes()
+            walk, walk_lw = _batch_walk([start], omega_s, alpha, dt, dw[:, j:j + 1].copy())
+            assert block[:, :, j].tobytes() == walk[:, :, 0].tobytes()
+            assert lw[:, j].tobytes() == walk_lw[:, 0].tobytes()
+
+
+def _one_step(start, omega_s, alpha, dt, dw):
+    """The first row after ``start`` and its log-weight, written out on
+    builtin floats: E, the readout's phase of v and one renormalization."""
+    e00, e01, e10, e11 = _kernels.null_step_map(omega_s, alpha, dt)
+    ur, ui, vr, vi = _kernels.psi_from_bloch(*start)
+    angle = np.array([math.sqrt(alpha) * dw])  # numpy's cos and sin, on an array as the kernel
+    c, s = float(np.cos(angle)[0]), float(np.sin(angle)[0])
+    pr, qr = e00 * ur + e01 * vr, e10 * ur + e11 * vr
+    pi, qi = e00 * ui + e01 * vi, e10 * ui + e11 * vi
+    vr, vi = c * qr + s * qi, c * qi - s * qr
+    n2 = (pr * pr + vr * vr) + (pi * pi + vi * vi)
+    norm = math.sqrt(n2)
+    psi = np.array([[pr / norm], [pi / norm], [vr / norm], [vi / norm]])
+    return _kernels.bloch_rows(psi[None])[0, :, 0], float(np.log(np.array([n2]))[0])
 
 
 @pytest.mark.parametrize("n_steps", [0, 1])
 def test_batch_kernel_of_one_state_and_at_most_one_step_equals_scalar_walk(n_steps):
-    # n = 1 makes every buffer one element long; n_steps = 0 returns the start row alone
-    omega_s, alpha, dt = 0.5, 3.0, 1e-2
+    # n = 1 makes every buffer one element long; n_steps = 0 returns the start
+    # row alone, and one step is a partial group of one step, whose row is
+    # the step written out on floats
+    omega_s, alpha, dt, start = 0.5, 3.0, 1e-2, (0.0, 0.6, 0.8)
     dw = wiener_increments(7, dt, 1, True)[:n_steps]
-    block, lw = _batch_walk([(0.0, 0.6, 0.8)], omega_s, alpha, dt, dw[:, None])
-    walk, walk_lw = _kernels.diffusive_walk(0.0, 0.6, 0.8, omega_s, alpha, dt, dw)
+    block, lw = _batch_walk([start], omega_s, alpha, dt, dw[:, None])
     assert block.shape == (n_steps + 1, 3, 1)
-    assert block[:, :, 0].tobytes() == walk.tobytes()
-    assert lw[:, 0].tobytes() == walk_lw.tobytes()
+    assert block[0, :, 0].tolist() == list(start) and lw[0, 0] == 0.0
+    if n_steps:
+        row, row_lw = _one_step(start, omega_s, alpha, dt, dw[0])
+        assert block[1, :, 0].tobytes() == row.tobytes()
+        assert lw[1, 0] == row_lw
 
 
 def test_batch_kernel_reads_its_inputs_and_returns_fresh_memory():
@@ -453,8 +478,8 @@ def test_batch_kernel_reads_its_inputs_and_returns_fresh_memory():
     lw = np.zeros(n)
     inputs = [psi, lw, dw]
     before = [a.copy() for a in inputs]
-    first = _kernels.diffusive_walk_batch(psi, lw, omega_s, alpha, dt, dw)
-    second = _kernels.diffusive_walk_batch(first[0][-1], first[1][-1], omega_s, alpha, dt, dw)
+    first = _kernels.diffusive_walk(psi, lw, omega_s, alpha, dt, dw)
+    second = _kernels.diffusive_walk(first[0][-1], first[1][-1], omega_s, alpha, dt, dw)
     for a, b in zip(inputs, before):
         assert a.tobytes() == b.tobytes()
     for rows, next_rows in zip(first, second):
@@ -466,17 +491,20 @@ def test_batch_kernel_reads_its_inputs_and_returns_fresh_memory():
 
 @pytest.mark.parametrize("lam", [0.0, 1.5])
 def test_batch_kernel_carried_across_blocks_equals_one_call(lam):
-    # blocks of 8 steps share their edge row, as in ensemble_stats; the
-    # log-weight's running sum goes on from the carried row
-    omega_s, dt, n_steps, n = 0.5, 1e-2, 23, 3
+    # blocks of two whole groups share their edge row, as in ensemble_stats,
+    # and the last block is a partial one; the log-weight's running sum goes
+    # on from the carried row
+    omega_s, dt, n = 0.5, 1e-2, 3
     alpha = 4.0 * omega_s * lam
+    block = 2 * _kernels.group_steps(alpha, dt)
+    n_steps = 2 * block + 23
     dw = np.array([wiener_increments(90 + j, dt, n_steps, True) for j in range(n)]).T
     psi = np.array([_kernels.psi_from_bloch(0.6, 0.0, -0.8)] * n).T
-    whole = _kernels.diffusive_walk_batch(psi, np.zeros(n), omega_s, alpha, dt, dw)
+    whole = _kernels.diffusive_walk(psi, np.zeros(n), omega_s, alpha, dt, dw)
     rows, lws, lw = [], [], np.zeros(n)
-    for start in range(0, n_steps, 8):
-        psi_rows, lw_rows = _kernels.diffusive_walk_batch(
-            psi, lw, omega_s, alpha, dt, dw[start:start + 8])
+    for start in range(0, n_steps, block):
+        psi_rows, lw_rows = _kernels.diffusive_walk(
+            psi, lw, omega_s, alpha, dt, dw[start:start + block])
         rows.append(psi_rows if start == 0 else psi_rows[1:])
         lws.append(lw_rows if start == 0 else lw_rows[1:])
         psi, lw = psi_rows[-1], lw_rows[-1]
@@ -663,6 +691,84 @@ def test_large_alpha_dt_stays_finite_and_on_the_sphere():
         assert np.all(np.diff(traj.log_weight) <= 0.0)
         stats = ensemble_stats(BlochState(0.0, 0.0, -1.0), params, 1e-2, 1.0, 3, 3, gaussian)
         assert np.all(np.isfinite(stats.mean)) and np.all(stats.n_eff >= 1.0)
+
+
+def _per_step_walk(start, omega_s, alpha, dt, dw):
+    """Bloch rows and log-weights of the walk stepped one map at a time on
+    builtin floats, renormalized every step: the reference for the groups."""
+    e00, e01, e10, e11 = _kernels.null_step_map(omega_s, alpha, dt)
+    ur, ui, vr, vi = _kernels.psi_from_bloch(*start)
+    angle = math.sqrt(alpha) * dw
+    rows, log_weight = [(ur, ui, vr, vi)], [0.0]
+    for c, s in zip(np.cos(angle).tolist(), np.sin(angle).tolist()):
+        pr, qr = e00 * ur + e01 * vr, e10 * ur + e11 * vr
+        pi, qi = e00 * ui + e01 * vi, e10 * ui + e11 * vi
+        vr, vi = c * qr + s * qi, c * qi - s * qr
+        n2 = (pr * pr + vr * vr) + (pi * pi + vi * vi)
+        norm = math.sqrt(n2)
+        ur, ui, vr, vi = pr / norm, pi / norm, vr / norm, vi / norm
+        rows.append((ur, ui, vr, vi))
+        log_weight.append(log_weight[-1] + math.log(n2))
+    bloch = _kernels.bloch_rows(np.array(rows))
+    bloch[0] = start
+    return bloch, np.array(log_weight)
+
+
+@pytest.mark.parametrize("lam, dt, n_steps", [
+    (0.0, 1e-3, 20_000), (1.5, 1e-3, 20_000), (200.0, 1e-2, 2_000),
+    (0.99, 7.88, 2_000), (0.99, 20.0, 1_000), (0.99, 80.0, 300),
+])
+def test_grouped_walk_matches_the_per_step_walk(lam, dt, n_steps):
+    # bounds fixed before the first run.  The groups change only rounding:
+    # at lambda 0.99, dt 7.88 a group of 32 steps spans s alpha dt = 499 of
+    # the 500 the group length allows, where its product is most ill-conditioned
+    omega_s, start = 0.5, (0.0, 0.6, 0.8)
+    alpha = 4.0 * omega_s * lam
+    dw = wiener_increments(21, dt, n_steps, True)
+    bloch, lw = _batch_walk([start], omega_s, alpha, dt, dw[:, None])
+    ref, ref_lw = _per_step_walk(start, omega_s, alpha, dt, dw)
+    assert np.max(np.abs(bloch[:, :, 0] - ref)) <= 1e-12
+    assert np.max(np.abs(lw[:, 0] - ref_lw) / np.maximum(1.0, np.abs(ref_lw))) <= 1e-11
+
+
+def test_group_length_rule():
+    # the largest power of two s <= 32 with s alpha dt <= 500, else 1
+    cases = [(0.0, 1e-3, 32), (3.0, 1e-3, 32), (400.0, 1e-2, 32), (1.98, 20.0, 8),
+             (1.98, 80.0, 2), (500.0, 1.0, 1), (1e3, 1.0, 1), (1e308, 1e10, 1)]
+    for alpha, dt, s in cases:
+        assert _kernels.group_steps(alpha, dt) == s
+        assert s == 1 or s * alpha * dt <= _kernels.GROUP_DECAY
+
+
+def test_large_alpha_dt_near_lambda_one_stays_finite():
+    # bounds fixed before the first run.  lambda 0.99, Omega_s dt = 40:
+    # alpha dt = 158.4, so one step may remove exp(-158.4) of |psi|^2 and 32
+    # steps in one product would leave the float range
+    params = DiffusiveParams.from_lambda(0.5, 0.99, tau=1e6)
+    b0, dt, t_end, n = BlochState(0.0, 0.6, 0.8), 80.0, 8e4, 4
+    for gaussian in (False, True):
+        traj = sample_trajectory(b0, params, dt, t_end, 9, gaussian)
+        assert np.all(np.isfinite(traj.bloch)) and np.all(np.isfinite(traj.log_weight))
+        assert np.max(np.abs(np.linalg.norm(traj.bloch, axis=1) - 1.0)) <= 1e-12
+        assert np.all(np.diff(traj.log_weight) <= 0.0)
+    stats = ensemble_stats(b0, params, dt, t_end, n, 9, gaussian=True)
+    assert np.all(np.isfinite(stats.mean)) and np.all(np.isfinite(stats.var))
+    assert np.all((stats.n_eff >= 1.0) & (stats.n_eff <= n))
+
+
+def test_ensemble_memory_does_not_grow_with_t_end():
+    # bound fixed before the first run: 8x the steps may not take 1.5x the
+    # peak beyond the returned arrays, since one block is held at a time
+    beyond = {}
+    for t_end in (16.0, 2.0):  # the longer run first, so one-off allocations count against it
+        tracemalloc.start()
+        try:
+            stats = ensemble_stats(BlochState(0, 0, 1), PARAMS_15, 1e-3, t_end, n=50, base_seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        beyond[t_end] = peak - sum(a.nbytes for a in (stats.t, stats.mean, stats.var, stats.n_eff))
+    assert beyond[16.0] < 1.5 * beyond[2.0], beyond
 
 
 def test_start_inside_the_bloch_ball_is_rejected():

@@ -194,6 +194,8 @@ def test_diffusive_walk_matches_rk4_through_bloch_drift(lam, start, gaussian):
         norm = math.sqrt(xr * xr + yr * yr + zn * zn)
         state = (xr / norm, yr / norm, zn / norm)
         rows.append(state)
-    walk, _ = _kernels.diffusive_walk(*start, omega_s, alpha, dt, dw)
-    assert walk[0].tolist() == list(start)
+    psi = np.array(_kernels.psi_from_bloch(*start))[:, None]
+    psi_rows, _ = _kernels.diffusive_walk(psi, np.zeros(1), omega_s, alpha, dt, dw[:, None])
+    assert psi_rows[0].tobytes() == psi.tobytes()  # row 0 is the start's psi as given
+    walk = _kernels.bloch_rows(psi_rows)[:, :, 0]
     assert np.max(np.abs(walk - np.array(rows))) <= 1e-11

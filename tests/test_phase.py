@@ -215,6 +215,14 @@ def test_separatrix_energies():
         assert abs(lo * hi - 1.0) <= 1e-12
 
 
+def test_separatrix_energy_overflow_is_named():
+    # e_high = lam + s is about 2 lam: finite up to about 9e307
+    lo, hi = separatrix_energies(8.9e307)
+    assert math.isfinite(hi) and lo * hi == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(NonFiniteState, match=r"overflows at lam = 1e\+308"):
+        separatrix_energies(1e308)
+
+
 def test_integrate_lam_zero_exact():
     params = PhaseParams(omega_s=0.5, lam=0.0)
     path = integrate_phase_path(PhasePoint(0.0, 0.5), params, t_end=10.0)
